@@ -29,7 +29,7 @@ from .simulate import (cloaked_lattice, matched_process, one_sided_stable,
                        poisson, rsa)
 from .tapers import (TaperSet, build_taper_set, hermite_function_values,
                      numerical_support, taper_eval)
-from .transforms import (CurveC, TransformGrid, TransformValue, curve_C,
+from .transforms import (CurveC, TransformGrid, curve_C,
                          scattering_intensity, transform_grid,
                          wavelet_transform)
 
@@ -52,6 +52,6 @@ __all__ = [
     "cloaked_lattice", "matched_process", "one_sided_stable", "poisson", "rsa",
     "TaperSet", "build_taper_set", "hermite_function_values",
     "numerical_support", "taper_eval",
-    "CurveC", "TransformGrid", "TransformValue", "curve_C",
+    "CurveC", "TransformGrid", "curve_C",
     "scattering_intensity", "transform_grid", "wavelet_transform",
 ]

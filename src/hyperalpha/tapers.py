@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numerics
 from .errors import DomainError
 
 _MACHINE_EPS = float(np.finfo(np.float64).eps)
@@ -30,22 +29,24 @@ DEFAULT_SPATIAL_SCALE = 5.0
 def hermite_function_values(n_max, y):
     """Values of the orthonormal Hermite functions psi_n(y), n = 0..n_max.
 
-    psi_n(y) = H_n(y) e^{-y^2/2} with the L2-normalized H_n. Returns an
-    array of shape (len(y), n_max + 1) built by the upward three-term
-    recurrence, which is stable for the orders used here and keeps the
-    Gaussian factor inside so nothing overflows.
+    psi_n(y) = H_n(y) e^{-y^2/2} with the L2-normalized H_n, built by the
+    upward three-term recurrence, which is stable for the orders used here
+    and keeps the Gaussian factor inside so nothing overflows. The orders
+    are stored first, as an (n_max + 1,) + y.shape array, so each step of
+    the recurrence writes one contiguous slab; the return value is a view
+    of shape y.shape + (n_max + 1,) that puts the order on the last axis.
     """
     y = np.asarray(y, dtype=np.float64)
-    out = np.empty(y.shape + (n_max + 1,))
-    out[..., 0] = np.pi ** -0.25 * np.exp(-0.5 * y * y)
+    out = np.empty((n_max + 1,) + y.shape)
+    out[0] = np.pi ** -0.25 * np.exp(-0.5 * y * y)
     if n_max >= 1:
-        out[..., 1] = np.sqrt(2.0) * y * out[..., 0]
+        out[1] = np.sqrt(2.0) * y * out[0]
     for n in range(1, n_max):
-        out[..., n + 1] = (
-            np.sqrt(2.0 / (n + 1)) * y * out[..., n]
-            - np.sqrt(n / (n + 1.0)) * out[..., n - 1]
+        out[n + 1] = (
+            np.sqrt(2.0 / (n + 1)) * y * out[n]
+            - np.sqrt(n / (n + 1.0)) * out[n - 1]
         )
-    return out
+    return np.moveaxis(out, 0, -1)
 
 
 @dataclass(frozen=True)
@@ -63,36 +64,20 @@ class TaperSet:
     indices: tuple
     supports: dict = field(repr=False)
     support_eps: float
-    coeff_cache: dict = field(repr=False)
 
     @property
     def max_support(self):
         return max(self.supports.values())
 
-    def to_config(self):
-        return {
-            "d": self.dim,
-            "i_max": self.i_max,
-            "c": self.spatial_scale,
-            "eps": self.support_eps,
-        }
 
-    @classmethod
-    def from_config(cls, cfg):
-        return build_taper_set(
-            int(cfg["d"]),
-            int(cfg["i_max"]),
-            float(cfg.get("c", DEFAULT_SPATIAL_SCALE)),
-            support_eps=float(cfg.get("eps", DEFAULT_SUPPORT_EPS)),
-        )
-
-
-def _support_tables(n_max, c, x_hi, step=0.01):
-    """Per-order tail envelopes on a shared grid.
+def _support_tables(n_max, c):
+    """Per-order tail envelopes on a shared grid of step 0.01.
 
     Returns (x_grid, tail_max, global_max) where tail_max[n, k] is
     sup over y >= c * x_grid[k] of |psi_n(y)|.
     """
+    step = 0.01
+    x_hi = 4.0 * (np.sqrt(2.0 * max(1, n_max)) + 6.0) / c
     x_grid = np.arange(0.0, x_hi + step, step)
     y = c * x_grid
     vals = np.abs(hermite_function_values(n_max, y))  # (len(y), n_max+1)
@@ -101,12 +86,9 @@ def _support_tables(n_max, c, x_hi, step=0.01):
     return x_grid, tail.T, vals.max(axis=0)
 
 
-def _scan_support(index, c, eps, n_max=None):
+def _scan_support(orders, tables, eps):
     """Outward line scan for the smallest sigma with the separable bound."""
-    orders = tuple(index)
-    n_top = max(orders) if n_max is None else n_max
-    x_hi = 4.0 * (np.sqrt(2.0 * max(1, n_top)) + 6.0) / c
-    x_grid, tail, peak = _support_tables(n_top, c, x_hi)
+    x_grid, tail, peak = tables
     # along each axis: tail of that order times the other axes' peaks
     sigma = 0.0
     for l, n in enumerate(orders):
@@ -114,8 +96,7 @@ def _scan_support(index, c, eps, n_max=None):
         for m, nm in enumerate(orders):
             if m != l:
                 others *= peak[nm]
-        bound = tail[n] * others
-        ok = bound <= eps
+        ok = tail[n] * others <= eps
         first = int(np.argmax(ok)) if ok.any() else len(x_grid) - 1
         sigma = max(sigma, float(x_grid[first]))
     return sigma
@@ -124,8 +105,7 @@ def _scan_support(index, c, eps, n_max=None):
 def build_taper_set(d, i_max, c=DEFAULT_SPATIAL_SCALE, support_eps=DEFAULT_SUPPORT_EPS):
     """All multi-indices in {0..i_max-1}^d with at least one odd component.
 
-    Supports are cached per index at support_eps; Hermite coefficients per
-    order are cached for covariance assembly.
+    Supports are cached per index at support_eps.
     """
     if d not in (1, 2):
         raise DomainError("build_taper_set supports d in {1, 2}")
@@ -137,22 +117,8 @@ def build_taper_set(d, i_max, c=DEFAULT_SPATIAL_SCALE, support_eps=DEFAULT_SUPPO
     indices = tuple(
         tuple(int(v) for v in row) for row in ranges if any(v % 2 == 1 for v in row)
     )
-    n_top = i_max - 1
-    x_hi = 4.0 * (np.sqrt(2.0 * max(1, n_top)) + 6.0) / c
-    x_grid, tail, peak = _support_tables(n_top, c, x_hi)
-    supports = {}
-    for idx in indices:
-        sigma = 0.0
-        for l, n in enumerate(idx):
-            others = 1.0
-            for m, nm in enumerate(idx):
-                if m != l:
-                    others *= peak[nm]
-            ok = tail[n] * others <= support_eps
-            first = int(np.argmax(ok)) if ok.any() else len(x_grid) - 1
-            sigma = max(sigma, float(x_grid[first]))
-        supports[idx] = sigma
-    coeff_cache = {n: numerics.hermite_coeffs(n) for n in range(i_max)}
+    tables = _support_tables(i_max - 1, c)
+    supports = {idx: _scan_support(idx, tables, support_eps) for idx in indices}
     return TaperSet(
         dim=d,
         i_max=i_max,
@@ -160,7 +126,6 @@ def build_taper_set(d, i_max, c=DEFAULT_SPATIAL_SCALE, support_eps=DEFAULT_SUPPO
         indices=indices,
         supports=supports,
         support_eps=support_eps,
-        coeff_cache=coeff_cache,
     )
 
 
@@ -194,4 +159,5 @@ def numerical_support(set_, i, eps=None):
         eps = _MACHINE_EPS
     if not eps > 0:
         raise DomainError("eps must be positive")
-    return _scan_support(tuple(i), set_.spatial_scale, eps)
+    i = tuple(i)
+    return _scan_support(i, _support_tables(max(i), set_.spatial_scale), eps)

@@ -2,8 +2,15 @@
 
 T_j(f_i, R) sums f_i(x / R^j) over the points of the pattern. Sums of many
 signed, nearly cancelling terms are the core numeric risk, so reductions
-use a canonical point order and a fixed-block pairwise scheme: results are
+use a canonical point order and fixed blocks of 1024 points: results are
 bit-identical under any permutation of the input points.
+
+Every taper is a product of 1-D Hermite functions, so in d=2 the sums of
+all tapers over a block of points are the entries of the small matrix
+H_x^T H_y, where H_x holds the Hermite orders of the first coordinates.
+One kernel evaluates the orders once per axis and forms that product for
+a chunk of scales at a time; its cost is n * |J| * d * i_max for the
+recurrence plus n * |J| * i_max^d for the product.
 """
 
 from dataclasses import dataclass
@@ -14,6 +21,11 @@ from .errors import DomainError, ZeroFrequency, ZeroTransformSum
 from .tapers import hermite_function_values
 
 _SUM_BLOCK = 1024
+
+# Scales evaluated together on one block of points. Bounded so the Hermite
+# tables (i_max x 8 x 1024 values per axis) stay small whatever |J| is:
+# all 170 scales of an estimate at once raise its peak memory by ~40 MB.
+_SCALE_CHUNK = 8
 
 
 def _canonical_order(points):
@@ -40,13 +52,6 @@ def blocked_sum(values, axis=0):
     padded[:n] = values
     per_block = padded.reshape((n_blocks, _SUM_BLOCK) + values.shape[1:]).sum(axis=1)
     return per_block.sum(axis=0)
-
-
-@dataclass(frozen=True)
-class TransformValue:
-    j: float
-    taper: tuple
-    value: float
 
 
 @dataclass(frozen=True)
@@ -85,50 +90,61 @@ def taper_set_id(set_):
     return f"hermite(d={set_.dim},imax={set_.i_max},c={set_.spatial_scale!r})"
 
 
-def wavelet_transform(p, set_, i, j):
-    """T_j(f_i, R) = sum over points of f_i(x / R^j)."""
+def _taper_sums(pts, mult, idx):
+    """Sums over pts of prod_l psi_{idx[t, l]}(s * x_l) for every s in mult.
+
+    pts must be in canonical order; returns shape (len(mult), len(idx)),
+    all zeros when pts is empty. Points go in blocks of _SUM_BLOCK and
+    scales in chunks of _SCALE_CHUNK.
+    Each scale's result depends only on that scale and the blocks, never
+    on the chunk it shares, and block results are added in block order.
+    """
+    n_max = int(idx.max())
+    out = np.zeros((len(mult), len(idx)))
+    for start in range(0, len(pts), _SUM_BLOCK):
+        block = pts[start:start + _SUM_BLOCK]
+        for lo in range(0, len(mult), _SCALE_CHUNK):
+            s = mult[lo:lo + _SCALE_CHUNK, None]
+            H = [hermite_function_values(n_max, s * block[:, l])
+                 for l in range(idx.shape[1])]
+            if len(H) == 1:
+                out[lo:lo + len(s)] += H[0].sum(axis=1)[:, idx[:, 0]]
+            else:
+                G = np.matmul(H[0].swapaxes(1, 2), H[1])
+                out[lo:lo + len(s)] += G[:, idx[:, 0], idx[:, 1]]
+    return out
+
+
+def _check_args(p, J, caller):
     R = p.half_width
     if not R > 1:
-        raise DomainError(f"wavelet_transform requires window half-width > 1, got {R}")
-    if not j > 0:
-        raise DomainError("scale j must be positive")
-    i = tuple(i)
-    if len(p) == 0:
-        return 0.0
-    pts = _canonical_order(p.points)
-    y = (set_.spatial_scale / R**j) * pts
-    n_max = max(max(i), 1)
-    val = np.ones(len(pts))
-    for l, n in enumerate(i):
-        val = val * hermite_function_values(n_max, y[:, l])[:, n]
-    return float(blocked_sum(val))
+        raise DomainError(f"{caller} requires window half-width > 1, got {R}")
+    J = np.asarray(J, dtype=np.float64)
+    if not np.all(J > 0):
+        raise DomainError("all scales must be positive")
+    return R, J
+
+
+def wavelet_transform(p, set_, i, j):
+    """T_j(f_i, R) = sum over points of f_i(x / R^j)."""
+    R, J = _check_args(p, [j], "wavelet_transform")
+    idx = np.asarray([tuple(i)], dtype=np.intp)
+    mult = set_.spatial_scale / R**J
+    return float(_taper_sums(_canonical_order(p.points), mult, idx)[0, 0])
 
 
 def transform_grid(p, set_, J):
     """All transforms T_j(f_i, R) for j in J and i in the taper set.
 
-    Batched: per scale, each coordinate's Hermite orders 0..i_max-1 are
-    evaluated once by recurrence and recombined across indices, so the cost
-    is n * |J| * (2 i_max + |I|) rather than n * |J| * |I| * i_max.
+    Per block of 1024 canonically ordered points and chunk of 8 scales,
+    each coordinate's Hermite orders 0..i_max-1 are evaluated once and
+    combined by one batched matrix product (d=2) or a sum (d=1). The cost
+    is n * |J| * (d * i_max + i_max^d) and is linear in |J|; each row of
+    the result is the same whatever other scales J holds.
     """
-    R = p.half_width
-    if not R > 1:
-        raise DomainError(f"transform_grid requires window half-width > 1, got {R}")
-    J = np.asarray(J, dtype=np.float64)
-    if np.any(J <= 0):
-        raise DomainError("all scales must be positive")
+    R, J = _check_args(p, J, "transform_grid")
     idx = np.asarray(set_.indices, dtype=np.intp)
-    out = np.zeros((len(J), len(set_.indices)))
-    if len(p) == 0:
-        return TransformGrid(scales=J, indices=set_.indices, values=out, R=R)
-    pts = _canonical_order(p.points)
-    n_max = set_.i_max - 1
-    for row, j in enumerate(J):
-        y = (set_.spatial_scale / R**j) * pts
-        prod = hermite_function_values(n_max, y[:, 0])[:, idx[:, 0]]
-        for l in range(1, set_.dim):
-            prod = prod * hermite_function_values(n_max, y[:, l])[:, idx[:, l]]
-        out[row] = blocked_sum(prod, axis=0)
+    out = _taper_sums(_canonical_order(p.points), set_.spatial_scale / R**J, idx)
     return TransformGrid(scales=J, indices=set_.indices, values=out, R=R)
 
 

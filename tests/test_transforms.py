@@ -97,12 +97,36 @@ class TestTransformGrid:
                 assert g.value(i, j) == pytest.approx(
                     wavelet_transform(p, set10, i, j), rel=1e-10)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_direct_taper_sum(self, d):
+        # independent oracle: pointwise taper values summed over the points;
+        # 2500 points leave a partial last block, 10 scales a partial chunk
+        set_ = build_taper_set(d, 10)
+        R = 25.0
+        pts = np.random.default_rng(10 + d).uniform(-R, R, size=(2500, d))
+        p = PointPattern(pts, Window(R), dim=d)
+        J = np.linspace(0.2, 1.1, 10)
+        g = transform_grid(p, set_, J)
+        for jx, j in enumerate(J):
+            direct = np.array([taper_eval(set_, i, pts / R ** j).sum()
+                               for i in set_.indices])
+            scale = np.abs(direct).max()
+            assert np.abs(g.values[jx] - direct).max() <= 1e-12 * scale
+            # batching scales never changes a row, not even in the last bit
+            np.testing.assert_array_equal(
+                g.values[jx], transform_grid(p, set_, J[jx:jx + 1]).values[0])
+
     def test_permutation_bit_identity(self, set10):
         rng = np.random.default_rng(6)
-        pts = rng.uniform(-6, 6, size=(2048, 2))
-        g1 = transform_grid(pat(pts, 6.0), set10, np.array([0.5, 1.0]))
-        g2 = transform_grid(pat(pts[::-1], 6.0), set10, np.array([0.5, 1.0]))
-        np.testing.assert_array_equal(g1.values, g2.values)
+        # whole and partial last blocks of 1024 points, in d=2 and d=1
+        for d, n in ((2, 2048), (2, 2500), (1, 2048), (1, 2500)):
+            set_ = set10 if d == 2 else build_taper_set(1, 10)
+            pts = rng.uniform(-6, 6, size=(n, d))
+            J = np.array([0.5, 1.0])
+            g1 = transform_grid(PointPattern(pts, Window(6.0), dim=d), set_, J)
+            g2 = transform_grid(PointPattern(pts[::-1], Window(6.0), dim=d),
+                                set_, J)
+            np.testing.assert_array_equal(g1.values, g2.values)
 
     def test_unknown_scale_raises(self, set10):
         p = pat([[0.0, 0.5]], 4.0)
