@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .errors import EmptyInput, EmptyPattern, HyperalphaError
+from .errors import EmptyInput, EmptyPattern, HyperalphaError, WindowTooSmall
 from .estimator import (DIAGNOSTIC_GRID, calibrate_jmax,
                         calibrate_jmax_poisson, default_scale_plan,
                         estimate_alpha, pooled_estimate, select_jmin)
@@ -34,28 +34,37 @@ class _ParseFailure(Exception):
 
 def read_pattern_csv(path):
     """Comma-separated coordinates, one point per row; '#' starts a comment."""
-    rows = []
     try:
         fh = open(path)
     except OSError as exc:
         raise _ParseFailure(f"{path}: {exc.strerror}") from exc
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                rows.append([float(v) for v in parts])
-            except ValueError:
-                raise _ParseFailure(
-                    f"{path}:{lineno}: cannot parse '{line}' as coordinates"
-                ) from None
-    if not rows:
-        return np.empty((0, 0))
-    if len({len(r) for r in rows}) != 1:
+    with fh, warnings.catch_warnings():
+        # loadtxt warns on a file without rows; here that is an empty result
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            coords = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
+        except ValueError:
+            # the line loop names the offending line or the column mismatch
+            fh.seek(0)
+            coords = _read_rows(fh, path)
+    return coords if coords.size else np.empty((0, 0))
+
+
+def _read_rows(fh, path):
+    rows = []
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            rows.append([float(v) for v in line.split(",")])
+        except ValueError:
+            raise _ParseFailure(
+                f"{path}:{lineno}: cannot parse '{line}' as coordinates"
+            ) from None
+    if len({len(r) for r in rows}) > 1:
         raise _ParseFailure(f"{path}: rows have inconsistent column counts")
-    return np.array(rows, dtype=np.float64).reshape(len(rows), -1)
+    return np.array(rows, dtype=np.float64, ndmin=2)
 
 
 def write_pattern_csv(path, points, comments=()):
@@ -99,6 +108,13 @@ def run_pipeline(pattern, i_max=10, taper_scale=DEFAULT_SPATIAL_SCALE,
     """
     normalized, record = normalize_intensity(pattern)
     d = normalized.dim
+    if not normalized.half_width > 1:
+        # at unit intensity (2R)^d = n, so R > 1 needs more than 2^d points
+        n = len(normalized)
+        raise WindowTooSmall(
+            f"the pattern has too few points: {n} point{'s' * (n != 1)} in {d}-D "
+            f"give a normalized window half-width of {normalized.half_width:.3g}, "
+            f"which must be above 1; more than {2 ** d} points are needed")
     full_set = build_taper_set(d, i_max, c=taper_scale)
     resolved_jmax = calibrate_jmax(full_set, normalized.half_width) \
         if j_max is None else float(j_max)

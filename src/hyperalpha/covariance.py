@@ -1,10 +1,11 @@
 """Gaussian-limit covariance of the transform vector, exact in log space.
 
-For d = 2 each entry reduces to a finite sum over Hermite coefficient
-degrees: a radial Gamma factor times an angular moment, weighted by powers
-of R. Terms span hundreds of orders of magnitude, so the sum is grouped by
-total degree and accumulated with signed log-sum-exp; no intermediate is
-ever exponentiated before the final, O(1)-sized result.
+One closed form serves d = 1 and d = 2. Each entry reduces to a finite sum
+over Hermite coefficient degrees: a radial Gamma factor times a moment of
+the unit sphere S^(d-1), weighted by powers of R. Terms span hundreds of
+orders of magnitude, so the sum is grouped by total degree and accumulated
+with signed log-sum-exp; no intermediate is ever exponentiated before the
+final, O(1)-sized result.
 
 Entries are for unscaled tapers. The physical taper scale c contributes a
 common factor c^(beta-d), kept as log metadata on the matrix; a common
@@ -16,20 +17,26 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import DomainError, Overflow
 from .numerics import (angular_moment, hermite_coeff_arrays, log_gamma,
-                       quad_radial, signed_logsumexp)
-from .tapers import hermite_function_values
+                       signed_logsumexp)
 
 _MAX_ORDER = 32
 _LOG_B_SIZE = 2 * _MAX_ORDER + 1
 
 
-@lru_cache(maxsize=1)
-def _log_angular_table():
-    """log of angular moments B(p, q) for p, q up to 2*_MAX_ORDER."""
-    logs = np.full((_LOG_B_SIZE, _LOG_B_SIZE), -np.inf)
+@lru_cache(maxsize=2)
+def _log_sphere_table(d):
+    """log moments of the unit sphere S^(d-1) by axis powers, -inf if any is odd.
+
+    d = 2: the angular moments B(p, q); d = 1: 2 for even p, as S^0 = {-1, 1}.
+    """
+    logs = np.full((_LOG_B_SIZE,) * d, -np.inf)
+    if d == 1:
+        logs[::2] = np.log(2.0)
+        return logs
     for p in range(0, _LOG_B_SIZE, 2):
         for q in range(0, _LOG_B_SIZE, 2):
             logs[p, q] = np.log(angular_moment(p, q))
@@ -47,65 +54,61 @@ def _prefactor(i1, i2):
 
 @lru_cache(maxsize=None)
 def _degree_table(i1, i2):
-    """Coefficient sum grouped by total degree per taper.
+    """Coefficient sum grouped by total degree per taper, d = len(i1).
 
     Returns (L1, L2, sign, logmag) arrays: for each pair of total degrees
     (L1 from taper 1, L2 from taper 2), the signed log of
 
-        sum over splits  c_{l11} c_{l12} c_{l21} c_{l22} B(l11+l21, l12+l22)
+        sum over splits  prod_k c_{l1k} c_{l2k} * S(l11+l21, ..., l1d+l2d)
 
-    All R- and beta-dependence is outside this table, so it is computed
-    once per taper pair and reused for every scale pair and every beta.
+    with S the sphere moment of _log_sphere_table. All R- and
+    beta-dependence is outside this table, so it is computed once per taper
+    pair and reused for every scale pair and every beta.
     """
-    logB = _log_angular_table()
+    d = len(i1)
+    logS = _log_sphere_table(d)
     coefs = [hermite_coeff_arrays(n) for n in (*i1, *i2)]
     degs = [np.nonzero(s)[0] for s, _ in coefs]
-    d11, d12, d21, d22 = np.meshgrid(*degs, indexing="ij", sparse=False)
-    sgn = np.ones(d11.shape)
-    logm = np.zeros(d11.shape)
-    for (s, lm), dd in zip(coefs, (d11, d12, d21, d22)):
+    grid = np.meshgrid(*degs, indexing="ij", sparse=False)
+    sgn = np.ones(grid[0].shape)
+    logm = np.zeros(grid[0].shape)
+    for (s, lm), dd in zip(coefs, grid):
         sgn = sgn * s[dd]
         logm = logm + lm[dd]
-    p = d11 + d21
-    q = d12 + d22
-    keep = (p % 2 == 0) & (q % 2 == 0) & (sgn != 0)
-    L1 = (d11 + d12)[keep]
-    L2 = (d21 + d22)[keep]
+    logs_split = logS[tuple(grid[k] + grid[d + k] for k in range(d))]
+    keep = np.isfinite(logs_split) & (sgn != 0)
+    L1 = sum(grid[:d])[keep]
+    L2 = sum(grid[d:])[keep]
     sgn = sgn[keep]
-    logm = logm[keep] + logB[p[keep], q[keep]]
+    logm = logm[keep] + logs_split[keep]
     key = L1 * (2 * _LOG_B_SIZE) + L2
     uniq, inv = np.unique(key, return_inverse=True)
-    out_L1 = np.empty(len(uniq), dtype=np.float64)
-    out_L2 = np.empty(len(uniq), dtype=np.float64)
-    out_sgn = np.empty(len(uniq))
-    out_log = np.empty(len(uniq))
-    for g in range(len(uniq)):
-        sel = inv == g
-        s, lv = signed_logsumexp(sgn[sel], logm[sel])
-        out_L1[g] = L1[sel][0]
-        out_L2[g] = L2[sel][0]
-        out_sgn[g] = s
-        out_log[g] = lv
+    out_sgn, out_log = np.array([
+        signed_logsumexp(sgn[inv == g], logm[inv == g]) for g in range(len(uniq))
+    ]).T
     live = out_sgn != 0
-    return out_L1[live], out_L2[live], out_sgn[live], out_log[live]
+    out_L1, out_L2 = np.divmod(uniq[live], 2 * _LOG_B_SIZE)
+    return (out_L1.astype(np.float64), out_L2.astype(np.float64),
+            out_sgn[live], out_log[live])
 
 
-def _entries_d2(i1, i2, beta, R, j1, j2):
-    """Vector of entries for taper pair (i1, i2) over paired scale arrays."""
+def _entries(i1, i2, beta, R, j1, j2):
+    """Entries for taper pair (i1, i2), d = len(i1), over paired scale arrays."""
     j1 = np.asarray(j1, dtype=np.float64)
     j2 = np.asarray(j2, dtype=np.float64)
     if _parity_zero(i1, i2):
         return np.zeros(j1.shape)
+    d = len(i1)
     L1, L2, sgn, logD = _degree_table(tuple(i1), tuple(i2))
     log_R = np.log(R)
-    g = (2.0 + beta + L1 + L2) / 2.0
+    g = (d + beta + L1 + L2) / 2.0
     log_gam = np.array([log_gamma(x) for x in g])
     # log of (R^{2 j1} + R^{2 j2}) / 2, the shared Gaussian width
     log_mean = np.logaddexp(2 * j1 * log_R, 2 * j2 * log_R) - np.log(2.0)
     terms = (
         logD[:, None]
         + log_gam[:, None]
-        + log_R * ((beta + 2.0) / 2.0 * (j1 + j2)[None, :]
+        + log_R * ((beta + d) / 2.0 * (j1 + j2)[None, :]
                    + np.outer(L1, j1) + np.outer(L2, j2))
         - np.outer(g, log_mean)
     )
@@ -123,6 +126,9 @@ def sigma_entry_d2(i1, i2, j1, j2, beta, R):
     total degrees. A differently indexed rendering of the same sum attaches
     complex unit powers per split; the grouped form above is the one whose
     terms are individually real, and the quadrature oracle pins it down.
+    In d = 1 the sum has one coefficient per taper, beta+2 becomes beta+1
+    (in the power of R, the Gamma argument and the exponent), and the S^0
+    moment, 2 for an even power, replaces B; the 1/2 stays.
     """
     i1 = tuple(int(v) for v in i1)
     i2 = tuple(int(v) for v in i2)
@@ -136,30 +142,7 @@ def sigma_entry_d2(i1, i2, j1, j2, beta, R):
         raise DomainError("beta must be nonnegative")
     if not (j1 > 0 and j2 > 0):
         raise DomainError("scales must be positive")
-    return float(_entries_d2(i1, i2, beta, R, [j1], [j2])[0])
-
-
-def _entry_d1_quad(i1, i2, beta, R, j1, j2):
-    """d = 1 entry by radial quadrature of the defining integral."""
-    if (i1 - i2) % 2:
-        return 0.0
-    pref = -1.0 if ((i2 - i1) // 2) % 2 else 1.0
-    lo, hi = (j1, j2) if j1 <= j2 else (j2, j1)
-    ratio = R ** (hi - lo)
-
-    def integrand(u):
-        u = np.asarray(u)[:, 0]
-        a = _psi_1d(i1 if j1 <= j2 else i2, u)
-        b = _psi_1d(i2 if j1 <= j2 else i1, ratio * u)
-        return a * b * np.abs(u) ** beta
-
-    # substitute u = R^{min(j)} k so the integrand stays O(1)-supported
-    integral = quad_radial(integrand, d=1, tol=1e-11) * R ** (-(1.0 + beta) * lo)
-    return pref * R ** ((beta + 1.0) * (j1 + j2) / 2.0) * integral
-
-
-def _psi_1d(n, u):
-    return hermite_function_values(max(n, 1), u)[:, n]
+    return float(_entries(i1, i2, beta, R, [j1], [j2])[0])
 
 
 @dataclass(frozen=True)
@@ -187,21 +170,13 @@ def _layout(indices, J):
     return tuple((i, float(j)) for j in J for i in indices)
 
 
-def sigma_transient(set_, J, beta, R):
-    """Covariance of the transform vector at finite R, beta = max(alpha,0).
+def _assemble(indices, J, beta, R):
+    """Matrix and structural-zero mask in the CovBlockMatrix row layout.
 
     Parity makes at least half the entries exact zeros; they are marked and
-    skipped, never computed. Assembly fills each taper pair across all scale
+    skipped, never computed. Each taper pair is filled across all scale
     pairs at once, so the matrix is exactly symmetric by construction.
     """
-    J = np.asarray(J, dtype=np.float64)
-    if np.any(J <= 0):
-        raise DomainError("scales must be positive")
-    if not R > 1:
-        raise DomainError("need R > 1")
-    if beta < 0:
-        raise DomainError("beta must be nonnegative")
-    indices = set_.indices
     nI, nJ = len(indices), len(J)
     n = nI * nJ
     matrix = np.zeros((n, n))
@@ -214,13 +189,7 @@ def sigma_transient(set_, J, beta, R):
             ia, ib = indices[a], indices[b]
             if _parity_zero(ia, ib):
                 continue
-            if set_.dim == 2:
-                vals = _entries_d2(ia, ib, beta, R, j1s, j2s)
-            else:
-                vals = np.array([
-                    _entry_d1_quad(ia[0], ib[0], beta, R, u, v)
-                    for u, v in zip(j1s, j2s)
-                ])
+            vals = _entries(ia, ib, beta, R, j1s, j2s)
             if a == b:
                 # same-taper block: mirror the upper scale triangle so the
                 # matrix is symmetric to the last bit, not just to round-off
@@ -236,8 +205,21 @@ def sigma_transient(set_, J, beta, R):
                 # swapped tapers = swapped scales, from the same table
                 matrix[jx * nI + b, jy * nI + a] = vals.reshape(nJ, nJ).T.ravel()
                 zero[jx * nI + b, jy * nI + a] = False
+    return matrix, zero
+
+
+def sigma_transient(set_, J, beta, R):
+    """Covariance of the transform vector at finite R, beta = max(alpha,0)."""
+    J = np.asarray(J, dtype=np.float64)
+    if np.any(J <= 0):
+        raise DomainError("scales must be positive")
+    if not R > 1:
+        raise DomainError("need R > 1")
+    if beta < 0:
+        raise DomainError("beta must be nonnegative")
+    matrix, zero = _assemble(set_.indices, J, beta, R)
     return CovBlockMatrix(
-        index_map=_layout(indices, J),
+        index_map=_layout(set_.indices, J),
         matrix=matrix,
         beta=float(beta),
         R=float(R),
@@ -255,31 +237,13 @@ def sigma_asymptotic(set_, J, alpha):
     J = np.asarray(J, dtype=np.float64)
     if alpha < 0:
         raise DomainError("alpha must be nonnegative")
-    indices = set_.indices
-    nI, nJ = len(indices), len(J)
-    block = np.zeros((nI, nI))
-    for a in range(nI):
-        for b in range(a, nI):
-            ia, ib = indices[a], indices[b]
-            if _parity_zero(ia, ib):
-                continue
-            if set_.dim == 2:
-                v = sigma_entry_d2(ia, ib, 1.0, 1.0, alpha, 1.0)
-            else:
-                v = _entry_d1_quad(ia[0], ib[0], alpha, 1.0, 1.0, 1.0)
-            block[a, b] = v
-            block[b, a] = v
-    matrix = np.zeros((nI * nJ, nI * nJ))
-    zero = np.ones_like(matrix, dtype=bool)
-    for t in range(nJ):
-        sl = slice(t * nI, (t + 1) * nI)
-        matrix[sl, sl] = block
-        zero[sl, sl] = block == 0.0
+    block, _ = _assemble(set_.indices, np.ones(1), alpha, 1.0)
+    matrix = block_diag(*[block] * len(J))
     return CovBlockMatrix(
-        index_map=_layout(indices, J),
+        index_map=_layout(set_.indices, J),
         matrix=matrix,
         beta=float(alpha),
         R=np.inf,
-        structural_zero=zero,
+        structural_zero=matrix == 0.0,
         log_scale_factor=(alpha - set_.dim) * np.log(set_.spatial_scale),
     )

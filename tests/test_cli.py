@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from hyperalpha.cli import main, read_pattern_csv, write_pattern_csv
+from hyperalpha.cli import _read_rows, main, read_pattern_csv, write_pattern_csv
 from hyperalpha.simulate import poisson
 
 
@@ -30,6 +31,40 @@ class TestReadWriteCsv:
         path.write_text("# leading\n\n1.0,2.0\n3.0,4.0  # trailing\n")
         got = read_pattern_csv(path)
         np.testing.assert_array_equal(got, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_one_row(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("1.5,-2.0\n")
+        got = read_pattern_csv(path)
+        assert got.shape == (1, 2)
+        np.testing.assert_array_equal(got, [[1.5, -2.0]])
+
+    def test_surrounding_spaces(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("  1.0 ,\t2.5\n   \n-3.0,  4.0  \n")
+        got = read_pattern_csv(path)
+        np.testing.assert_array_equal(got, [[1.0, 2.5], [-3.0, 4.0]])
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n", " \n\t\n"])
+    def test_no_rows_is_empty(self, tmp_path, recwarn, text):
+        path = tmp_path / "pts.csv"
+        path.write_text(text)
+        got = read_pattern_csv(path)
+        assert got.shape == (0, 0)
+        assert len(recwarn) == 0
+
+    def test_bit_equal_to_line_loop(self, tmp_path):
+        # the reference is the line loop that reports parse errors, which
+        # applies Python's float() to every field
+        path = tmp_path / "pts.csv"
+        p = poisson(1.0, 30.0, seed=5)
+        write_pattern_csv(path, p.points, comments=["simulated"])
+        with open(path) as fh:
+            want = _read_rows(fh, path)
+        got = read_pattern_csv(path)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == p.points.tobytes()
 
 
 class TestExitCodes:
@@ -58,12 +93,17 @@ class TestExitCodes:
         assert rc == 3
 
     def test_numerical_failure(self, tmp_path, capsys):
-        # a unit half-width window is too small for any scale calibration
+        # three points normalize to a window of half-width sqrt(3)/2 < 1,
+        # too small for any scale calibration
         path = tmp_path / "tiny.csv"
         path.write_text("0.5,0.5\n-0.5,-0.5\n0.1,-0.3\n")
         rc = main(["estimate", "--input", str(path), "--half-width", "1.0"])
         assert rc == 4
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err
+        assert "too few points" in err
+        assert "3 points in 2-D" in err
+        assert "normalized window half-width of 0.866" in err
 
 
 class TestEstimate:
@@ -123,6 +163,26 @@ class TestEstimate:
         ci = out["ci"]
         assert ci["level"] == 0.9
         assert ci["lo"] < out["alpha_hat"] < ci["hi"]
+
+    def test_d1_ci_default_scales(self, tmp_path):
+        # the d = 1 covariance is closed form, so a CI at the default
+        # --nscales takes well under a second; 20 s leaves room for slow
+        # machines but not for per-entry quadrature (minutes)
+        path = tmp_path / "line.csv"
+        write_pattern_csv(path, poisson(1.0, 200.0, seed=3, d=1).points)
+        out = tmp_path / "report.json"
+        argv = ["estimate", "--input", str(path), "--dim", "1",
+                "--half-width", "200", "--ci-level", "0.95",
+                "--output", str(out)]
+        start = time.perf_counter()
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 20.0
+        first = out.read_bytes()
+        ci = json.loads(first)["ci"]
+        assert np.isfinite(ci["lo"]) and np.isfinite(ci["hi"])
+        assert ci["lo"] <= ci["hi"]
+        assert main(argv) == 0
+        assert out.read_bytes() == first
 
     def test_glob_pools_frames(self, tmp_path, capsys):
         for k in (0, 1):

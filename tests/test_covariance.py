@@ -5,6 +5,7 @@ import pytest
 
 from hyperalpha.covariance import (
     CovBlockMatrix,
+    _entries,
     sigma_asymptotic,
     sigma_entry_d2,
     sigma_transient,
@@ -51,6 +52,30 @@ def oracle_entry(i1, i2, j1, j2, beta, R):
     # both wavelets plus the transform phase
     pref = R ** (-(2.0 + beta) * lo) * R ** ((2.0 + beta) * (j1 + j2) / 2.0)
     return phase(i1, i2) * pref * raw
+
+
+def psi_1d(n, u):
+    return hermite_function_values(max(n, 1), u)[:, n]
+
+
+def oracle_entry_d1(i1, i2, j1, j2, beta, R):
+    """d = 1 entry by Gauss-Legendre quadrature of the defining integral.
+
+    Same substitution as oracle_entry. Integer orders, not index tuples.
+    """
+    if (i1 - i2) % 2:
+        return 0.0
+    lo, hi = sorted((j1, j2))
+    a, b = (i1, i2) if j1 <= j2 else (i2, i1)
+    ratio = R ** (hi - lo)
+
+    def integrand(u):
+        u = np.asarray(u)[:, 0]
+        return psi_1d(a, u) * psi_1d(b, ratio * u) * np.abs(u) ** beta
+
+    raw = quad_radial(integrand, 1, tol=1e-11)
+    pref = R ** (-(1.0 + beta) * lo) * R ** ((1.0 + beta) * (j1 + j2) / 2.0)
+    return phase((i1,), (i2,)) * pref * raw
 
 
 class TestEntryExactCases:
@@ -117,6 +142,31 @@ class TestEntryOracle:
             a = sigma_entry_d2(i1, i2, float(j1), float(j2), beta, 20.0)
             b = sigma_entry_d2(i2, i1, float(j2), float(j1), beta, 20.0)
             assert a == pytest.approx(b, rel=1e-9, abs=1e-300)
+
+    def test_randomized_d1_entries_match_quadrature(self):
+        # The pipeline's d = 1 tapers have odd orders. Even orders only at
+        # beta = 0: there the integrand behaves like |u|^beta at u = 0, an
+        # endpoint singularity Gauss-Legendre does not resolve within its
+        # node budget. R and the scale gap stay where quadrature converges.
+        rng = np.random.default_rng(101)
+        for _ in range(60):
+            i1 = int(rng.integers(0, 10))
+            i2 = i1 + 2 * int(rng.integers(-2, 3))
+            if not 0 <= i2 <= 9:
+                continue
+            odd = i1 % 2 == 1
+            beta = float(rng.uniform(0.0, 1.7)) if odd and rng.integers(4) else 0.0
+            R = float(rng.uniform(5.0, 60.0))
+            j1 = float(rng.uniform(0.3, 1.0))
+            # equal scales at beta = 0 hit the exact orthogonality zeros
+            j2 = j1 if rng.integers(3) == 0 else float(
+                np.clip(j1 + rng.uniform(-0.25, 0.25), 0.3, 1.0))
+            want = oracle_entry_d1(i1, i2, j1, j2, beta, R)
+            got = _entries((i1,), (i2,), beta, R, [j1], [j2])[0]
+            # quadrature's absolute tolerance, carried back through the
+            # substitution, is of order R^{(beta+1)|j1-j2|/2}
+            scale = max(abs(want), R ** ((beta + 1.0) * abs(j1 - j2) / 2.0))
+            assert abs(got - want) <= 1e-8 * scale, (i1, i2, j1, j2, beta, R)
 
     def test_far_scales_decorrelate(self):
         # pulling the scales apart shrinks the cross entry
@@ -188,6 +238,18 @@ class TestTransientMatrix:
         assert m.log_scale_factor == pytest.approx(
             (0.7 - 2.0) * math.log(set4.spatial_scale))
 
+    def test_d1_matrix_matches_quadrature(self):
+        set_ = build_taper_set(1, 6)
+        J = np.array([0.55, 0.7])
+        m = sigma_transient(set_, J, 0.59, 40.0)
+        assert np.array_equal(m.matrix, m.matrix.T)
+        for r in range(m.dim):
+            for c in range(r, m.dim):
+                (i1, j1), (i2, j2) = m.index_map[r], m.index_map[c]
+                want = oracle_entry_d1(i1[0], i2[0], j1, j2, 0.59, 40.0)
+                assert m.matrix[r, c] == pytest.approx(
+                    want, rel=1e-8, abs=1e-12), (i1, i2, j1, j2)
+
     def test_validation(self):
         set4 = build_taper_set(2, 4)
         with pytest.raises(DomainError):
@@ -198,10 +260,10 @@ class TestTransientMatrix:
 
 class TestAsymptoticMatrix:
     def test_alpha_zero_is_identity(self):
-        set4 = build_taper_set(2, 4)
         J = np.linspace(0.4, 0.9, 4)
-        m = sigma_asymptotic(set4, J, 0.0)
-        np.testing.assert_allclose(m.matrix, np.eye(m.dim), atol=1e-10)
+        for set_ in (build_taper_set(2, 4), build_taper_set(1, 10)):
+            m = sigma_asymptotic(set_, J, 0.0)
+            np.testing.assert_allclose(m.matrix, np.eye(m.dim), atol=1e-10)
 
     def test_block_diagonal_replication(self):
         set4 = build_taper_set(2, 4)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperalpha.errors import DomainError, NotPsd, Overflow
+from hyperalpha import numerics
+from hyperalpha.errors import DomainError, NoConvergence, NotPsd, Overflow
 from hyperalpha.numerics import (
     SignedLogValue,
     angular_moment,
@@ -228,6 +229,35 @@ class TestQuadRadial:
         val = quad_radial(
             lambda k: np.exp(-k[..., 0] ** 2) / math.sqrt(math.pi), 1)
         assert val == pytest.approx(1.0, rel=1e-9)
+
+    def test_d1_node_budget(self, monkeypatch):
+        # A rule of n nodes costs two n x n eigensolve arrays, so refinement
+        # must give up before it asks for one above the budget. Cheap stand-in
+        # nodes record the requests; the integrand never settles.
+        requested = []
+
+        def fake_rule(n):
+            requested.append(n)
+            return np.zeros(n), np.full(n, 2.0 / n)
+
+        monkeypatch.setattr(numerics, "_gauss_legendre", fake_rule)
+        calls = []
+
+        def restless(k):
+            calls.append(1)
+            return np.full(len(k), float(len(calls)))
+
+        with pytest.raises(NoConvergence):
+            quad_radial(restless, 1, max_rounds=20)
+        assert max(requested) == numerics._GL_MAX_NODES
+        assert requested == sorted(set(requested))
+
+    def test_memoized_rule_is_leggauss(self):
+        x, w = numerics._gauss_legendre(300)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(300)
+        assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
+        assert numerics._gauss_legendre(300)[0] is x
+        assert not x.flags.writeable
 
 
 class TestPsdFactor:
