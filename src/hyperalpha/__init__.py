@@ -12,25 +12,23 @@ from .covariance import (CovBlockMatrix, sigma_asymptotic, sigma_entry_d2,
                          sigma_transient)
 from .errors import (DegenerateScales, DomainError, EmptyInput, EmptyPattern,
                      HyperalphaError, NoConvergence, NotPsd, Overflow,
-                     Unmatchable, WindowTooSmall, ZeroFrequency,
-                     ZeroTransformSum)
+                     Unmatchable, WindowTooSmall, ZeroTransformSum)
 from .estimator import (DIAGNOSTIC_GRID, EstimateReport, ScalePlan,
                         calibrate_jmax, calibrate_jmax_poisson,
                         default_scale_plan, estimate_alpha,
                         least_squares_weights, pooled_estimate, select_jmin)
 from .geometry import (NormalizationRecord, PointPattern, Window,
-                       estimate_intensity, normalize_intensity, restrict)
+                       estimate_intensity, normalize_intensity)
 from .inference import (ConfidenceInterval, ZSample, confidence_interval,
                         pivot_quantiles, quantile, sample_Z)
 from .numerics import (PsdFactor, SignedLogValue, angular_moment,
-                       hermite_coeffs, log_gamma, make_rng, mvn_sample,
-                       psd_factor, quad_radial, signed_logsumexp, trigamma)
+                       hermite_coeffs, log_gamma, make_rng, psd_factor,
+                       quad_radial, signed_logsumexp, trigamma)
 from .simulate import (cloaked_lattice, matched_process, one_sided_stable,
                        poisson, rsa)
 from .tapers import (TaperSet, build_taper_set, hermite_function_values,
                      numerical_support, taper_eval)
-from .transforms import (CurveC, TransformGrid, curve_C,
-                         scattering_intensity, transform_grid,
+from .transforms import (CurveC, TransformGrid, curve_C, transform_grid,
                          wavelet_transform)
 
 __all__ = [
@@ -38,20 +36,20 @@ __all__ = [
     "CovBlockMatrix", "sigma_asymptotic", "sigma_entry_d2", "sigma_transient",
     "DegenerateScales", "DomainError", "EmptyInput", "EmptyPattern",
     "HyperalphaError", "NoConvergence", "NotPsd", "Overflow", "Unmatchable",
-    "WindowTooSmall", "ZeroFrequency", "ZeroTransformSum",
+    "WindowTooSmall", "ZeroTransformSum",
     "DIAGNOSTIC_GRID", "EstimateReport", "ScalePlan", "calibrate_jmax",
     "calibrate_jmax_poisson", "default_scale_plan", "estimate_alpha",
     "least_squares_weights", "pooled_estimate", "select_jmin",
     "NormalizationRecord", "PointPattern", "Window", "estimate_intensity",
-    "normalize_intensity", "restrict",
+    "normalize_intensity",
     "ConfidenceInterval", "ZSample", "confidence_interval", "pivot_quantiles",
     "quantile", "sample_Z",
     "PsdFactor", "SignedLogValue", "angular_moment", "hermite_coeffs",
-    "log_gamma", "make_rng", "mvn_sample", "psd_factor", "quad_radial",
+    "log_gamma", "make_rng", "psd_factor", "quad_radial",
     "signed_logsumexp", "trigamma",
     "cloaked_lattice", "matched_process", "one_sided_stable", "poisson", "rsa",
     "TaperSet", "build_taper_set", "hermite_function_values",
     "numerical_support", "taper_eval",
-    "CurveC", "TransformGrid", "curve_C",
-    "scattering_intensity", "transform_grid", "wavelet_transform",
+    "CurveC", "TransformGrid", "curve_C", "transform_grid",
+    "wavelet_transform",
 ]

@@ -17,7 +17,8 @@ from . import __version__
 from .errors import EmptyInput, EmptyPattern, HyperalphaError, WindowTooSmall
 from .estimator import (DIAGNOSTIC_GRID, calibrate_jmax,
                         calibrate_jmax_poisson, default_scale_plan,
-                        estimate_alpha, pooled_estimate, select_jmin)
+                        estimate_alpha, poisson_curves, pooled_estimate,
+                        select_jmin)
 from .geometry import PointPattern, Window, normalize_intensity
 from .inference import (DEFAULT_CI_DRAWS, REDUCED_CI_IMAX, REDUCED_CI_NSCALES,
                         confidence_interval, pivot_quantiles)
@@ -97,6 +98,39 @@ def _build_pattern(coords, dim, half_width):
         raise _ParseFailure(str(exc)) from exc
 
 
+def _normalize(pattern):
+    """normalize_intensity, rejecting a window too small for any scale."""
+    normalized, record = normalize_intensity(pattern)
+    if not normalized.half_width > 1:
+        # at unit intensity (2R)^d = n, so R > 1 needs more than 2^d points
+        n, d = len(normalized), normalized.dim
+        raise WindowTooSmall(
+            f"the pattern has too few points: {n} point{'s' * (n != 1)} in {d}-D "
+            f"give a normalized window half-width of {normalized.half_width:.3g}, "
+            f"which must be above 1; more than {2 ** d} points are needed")
+    return normalized, record
+
+
+def _calibrate(normalized, i_max, taper_scale, j_min, j_max, n_scales, reduced):
+    """Estimation taper set, plan, curve, j_min and j_max of a normalized pattern.
+
+    j_max and j_min are calibrated unless given; the reduced preset caps the
+    estimation set and the number of scales, never the curve's taper set.
+    """
+    d = normalized.dim
+    full_set = build_taper_set(d, i_max, c=taper_scale)
+    j_max = calibrate_jmax(full_set, normalized.half_width) \
+        if j_max is None else float(j_max)
+    curve = curve_C(normalized, full_set, DIAGNOSTIC_GRID)
+    j_min = select_jmin(curve, j_max) if j_min is None else float(j_min)
+    est_set = full_set
+    if reduced:
+        est_set = build_taper_set(d, min(i_max, REDUCED_CI_IMAX), c=taper_scale)
+        n_scales = min(n_scales, REDUCED_CI_NSCALES)
+    plan = default_scale_plan(j_min, j_max, n_scales)
+    return est_set, plan, curve, j_min, j_max
+
+
 def run_pipeline(pattern, i_max=10, taper_scale=DEFAULT_SPATIAL_SCALE,
                  j_min=None, j_max=None, n_scales=50, ci_level=None,
                  ci_draws=DEFAULT_CI_DRAWS, ci_full=False, seed=0):
@@ -106,36 +140,19 @@ def run_pipeline(pattern, i_max=10, taper_scale=DEFAULT_SPATIAL_SCALE,
     estimate and the interval (so the interval is centered correctly);
     ci_full opts into full-size covariance sampling instead.
     """
-    normalized, record = normalize_intensity(pattern)
-    d = normalized.dim
-    if not normalized.half_width > 1:
-        # at unit intensity (2R)^d = n, so R > 1 needs more than 2^d points
-        n = len(normalized)
-        raise WindowTooSmall(
-            f"the pattern has too few points: {n} point{'s' * (n != 1)} in {d}-D "
-            f"give a normalized window half-width of {normalized.half_width:.3g}, "
-            f"which must be above 1; more than {2 ** d} points are needed")
-    full_set = build_taper_set(d, i_max, c=taper_scale)
-    resolved_jmax = calibrate_jmax(full_set, normalized.half_width) \
-        if j_max is None else float(j_max)
-    curve = curve_C(normalized, full_set, DIAGNOSTIC_GRID)
-    resolved_jmin = select_jmin(curve, resolved_jmax) if j_min is None \
-        else float(j_min)
+    normalized, record = _normalize(pattern)
     reduced = ci_level is not None and not ci_full
-    est_imax = min(i_max, REDUCED_CI_IMAX) if reduced else i_max
-    est_nscales = min(n_scales, REDUCED_CI_NSCALES) if reduced else n_scales
-    est_set = build_taper_set(d, est_imax, c=taper_scale) if reduced else full_set
-    plan = default_scale_plan(resolved_jmin, resolved_jmax, est_nscales)
+    est_set, plan, curve, j_min, j_max = _calibrate(
+        normalized, i_max, taper_scale, j_min, j_max, n_scales, reduced)
     report = estimate_alpha(normalized, est_set, plan, curve=curve)
-    report.diagnostics["j_min"] = resolved_jmin
-    report.diagnostics["j_max"] = resolved_jmax
+    report.diagnostics["j_min"] = j_min
+    report.diagnostics["j_max"] = j_max
     report.diagnostics["lambda_hat_raw"] = record.lambda_hat
     report.diagnostics["preset"] = "reduced" if reduced else "full"
     ci = None
     if ci_level is not None:
         ci = confidence_interval(report, est_set, level=ci_level,
                                  draws=ci_draws, seed=seed)
-        report.ci = (ci.lo, ci.hi, ci.level)
     return report, ci
 
 
@@ -162,24 +179,27 @@ def _common_estimate_args(sub):
     sub.add_argument("--output", default=None, help="write JSON here (default stdout)")
 
 
-def _cmd_estimate(args):
+def _load_patterns(args):
+    """Paths matched by --input and one pattern per path; EmptyInput if no points."""
     paths = _resolve_inputs(args.input)
     frames = [read_pattern_csv(p) for p in paths]
     if sum(len(f) for f in frames) == 0:
         raise EmptyInput("no points in input")
+    return paths, [_build_pattern(f, args.dim, args.half_width) for f in frames]
+
+
+def _cmd_estimate(args):
+    paths, patterns = _load_patterns(args)
     reports = []
-    ci = None
-    for coords in frames:
-        pattern = _build_pattern(coords, args.dim, args.half_width)
-        report, frame_ci = run_pipeline(
+    for pattern in patterns:
+        report, ci = run_pipeline(
             pattern, i_max=args.imax, taper_scale=args.taper_scale,
             j_min=args.jmin, j_max=args.jmax, n_scales=args.nscales,
-            ci_level=args.ci_level if len(frames) == 1 else None,
+            ci_level=args.ci_level if len(patterns) == 1 else None,
             ci_draws=args.ci_draws, ci_full=args.ci_full, seed=args.seed,
         )
         reports.append(report)
-        ci = frame_ci
-    if len(frames) > 1 and args.ci_level is not None:
+    if len(patterns) > 1 and args.ci_level is not None:
         print("# intervals are per-pattern; skipping CI for pooled frames",
               file=sys.stderr)
     alpha = pooled_estimate(reports)
@@ -213,27 +233,14 @@ def _cmd_estimate(args):
 
 
 def _cmd_curve(args):
-    paths = _resolve_inputs(args.input)
-    frames = [read_pattern_csv(p) for p in paths]
-    if sum(len(f) for f in frames) == 0:
-        raise EmptyInput("no points in input")
-    set_ = None
-    curves = []
-    for coords in frames:
-        pattern = _build_pattern(coords, args.dim, args.half_width)
-        normalized, _ = normalize_intensity(pattern)
-        if set_ is None:
-            set_ = build_taper_set(args.dim, args.imax, c=args.taper_scale)
-        curves.append(curve_C(normalized, set_, DIAGNOSTIC_GRID))
+    _, patterns = _load_patterns(args)
+    set_ = build_taper_set(args.dim, args.imax, c=args.taper_scale)
+    curves = [curve_C(_normalize(p)[0], set_, DIAGNOSTIC_GRID) for p in patterns]
     mean_vals = np.mean([c.values for c in curves], axis=0)
     reference = None
     if args.poisson_reference:
-        R = curves[0].R
-        ref = []
-        for rep in range(args.poisson_reference):
-            pp = poisson(1.0, R, seed=args.seed + 10_000 + rep, d=args.dim)
-            ref.append(curve_C(pp, set_, DIAGNOSTIC_GRID).values)
-        reference = np.mean(ref, axis=0)
+        reference = poisson_curves(set_, curves[0].R, args.poisson_reference,
+                                   seed=args.seed + 10_000).mean(axis=0)
     with open(args.output, "w") as fh:
         fh.write(f"# diagnostic curve, schema_version={SCHEMA_VERSION}\n")
         fh.write(f"# R={float(curves[0].R)!r} frames={len(curves)}\n")
@@ -285,15 +292,10 @@ def _cmd_coverage(args):
     def simulate_one(rep):
         return cloaked_lattice(true_alpha, args.sigma, R, args.seed + rep)
 
-    pilot = simulate_one(0)
-    pilot_norm, _ = normalize_intensity(pilot)
-    est_set = build_taper_set(2, min(args.imax, REDUCED_CI_IMAX))
-    full_set = build_taper_set(2, args.imax)
-    j_max = calibrate_jmax(full_set, pilot_norm.half_width)
-    curve = curve_C(pilot_norm, full_set, DIAGNOSTIC_GRID)
-    j_min = select_jmin(curve, j_max)
-    plan = default_scale_plan(j_min, j_max,
-                              min(args.nscales, REDUCED_CI_NSCALES))
+    pilot, _ = normalize_intensity(simulate_one(0))
+    est_set, plan, _, j_min, j_max = _calibrate(
+        pilot, args.imax, DEFAULT_SPATIAL_SCALE, j_min=None, j_max=None,
+        n_scales=args.nscales, reduced=True)
     # quantiles of the pivot at the true exponent, shared by all replicates
     q_lo, q_hi = pivot_quantiles(est_set, plan, max(true_alpha, 0.0), R,
                                  level, draws=args.ci_draws, seed=args.seed)

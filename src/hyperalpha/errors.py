@@ -38,10 +38,6 @@ class ZeroTransformSum(HyperalphaError, ArithmeticError):
     """All squared transforms vanished at some scale (measure-zero event)."""
 
 
-class ZeroFrequency(HyperalphaError, ValueError):
-    """Scattering intensity is undefined at k = 0."""
-
-
 class DegenerateScales(HyperalphaError, ValueError):
     """Scale list has zero variance; least-squares weights undefined."""
 

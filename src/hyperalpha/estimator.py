@@ -85,7 +85,6 @@ class EstimateReport:
     curve: CurveC | None
     n_points: int
     diagnostics: dict = field(default_factory=dict)
-    ci: tuple | None = None
 
 
 def estimate_alpha(p, set_, plan, curve=None):
@@ -148,10 +147,18 @@ def calibrate_jmax(set_, R):
 
 
 # Poisson reference knee: constants fixed once against the analytic rule.
-_POISSON_GRID = DIAGNOSTIC_GRID
 _ANCHOR = (0.3, 0.6)
 _BAND_FLOOR = 0.008
 _BAND_Z = 2.0
+
+
+def poisson_curves(set_, R, replicates, seed):
+    """C-values of unit-intensity Poisson patterns, one row per replicate k
+    (drawn with seed + k) and one column per scale of DIAGNOSTIC_GRID."""
+    return np.array([
+        curve_C(poisson(1.0, R, seed=seed + k, d=set_.dim), set_,
+                DIAGNOSTIC_GRID).values
+        for k in range(replicates)])
 
 
 def calibrate_jmax_poisson(set_, R, replicates=60, seed=1234):
@@ -167,11 +174,8 @@ def calibrate_jmax_poisson(set_, R, replicates=60, seed=1234):
     if replicates < 5:
         raise DomainError("need at least 5 replicates")
     d = set_.dim
-    grid = _POISSON_GRID
-    curves = np.empty((replicates, len(grid)))
-    for r in range(replicates):
-        p = poisson(1.0, R, seed=seed + r, d=d)
-        curves[r] = curve_C(p, set_, grid).values
+    grid = DIAGNOSTIC_GRID
+    curves = poisson_curves(set_, R, replicates, seed)
     mean = curves.mean(axis=0)
     se = curves.std(axis=0, ddof=1) / np.sqrt(replicates)
     anchor = (grid >= _ANCHOR[0]) & (grid <= _ANCHOR[1])

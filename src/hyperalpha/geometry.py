@@ -5,7 +5,6 @@ produces the rescaled pattern and keeps the record needed to interpret
 results in original units.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,15 +21,6 @@ class Window:
     def __post_init__(self):
         if not self.half_width > 0:
             raise DomainError(f"window half-width must be positive, got {self.half_width}")
-
-    @classmethod
-    def from_ball(cls, radius):
-        """Bounding cube of a centered ball; the pipeline only supports cubes."""
-        warnings.warn(
-            "ball window converted to its bounding cube [-R, R]^d",
-            stacklevel=2,
-        )
-        return cls(half_width=radius)
 
     def volume(self, dim):
         return (2.0 * self.half_width) ** dim
@@ -105,13 +95,3 @@ def normalize_intensity(p):
         p.points * scale, Window(half_width=p.half_width * scale), dim=p.dim
     )
     return rescaled, NormalizationRecord(lambda_hat=lam, scale_factor=scale)
-
-
-def restrict(p, R):
-    """Intersection with [-R, R]^d (closed); the window shrinks to half-width R."""
-    if not R > 0:
-        raise DomainError("restrict requires R > 0")
-    if len(p) == 0:
-        return PointPattern(p.points, Window(half_width=R), dim=p.dim)
-    keep = np.max(np.abs(p.points), axis=1) <= R
-    return PointPattern(p.points[keep], Window(half_width=R), dim=p.dim)

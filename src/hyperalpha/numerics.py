@@ -1,4 +1,4 @@
-"""Special functions, signed log-space arithmetic, quadrature, and Gaussian sampling.
+"""Special functions, signed log-space arithmetic, quadrature, PSD factors, RNG.
 
 Everything here is deterministic and pure. The signed log representation
 exists because covariance assembly multiplies Gamma values around 1e40
@@ -39,22 +39,6 @@ class SignedLogValue:
         if self.sign == 0:
             return 0.0
         return self.sign * float(np.exp(self.log_magnitude))
-
-
-def slv_mul(a, b):
-    """Product of two SignedLogValues."""
-    s = a.sign * b.sign
-    if s == 0:
-        return SignedLogValue(0, -np.inf)
-    return SignedLogValue(s, a.log_magnitude + b.log_magnitude)
-
-
-def slv_sum(values):
-    """Signed sum of an iterable of SignedLogValues, accumulated in log space."""
-    signs = np.array([v.sign for v in values], dtype=np.float64)
-    logs = np.array([v.log_magnitude for v in values], dtype=np.float64)
-    s, lm = signed_logsumexp(signs, logs)
-    return SignedLogValue(int(s), float(lm))
 
 
 def signed_logsumexp(signs, logmags, axis=None):
@@ -202,6 +186,11 @@ def _probe_extent(f, d, directions, r_lo=1e-3, r_hi=200.0, n=240):
 # 1.1 GB at 8192 nodes and 4.3 GB at 16384; d = 1 refinement stops here.
 _GL_MAX_NODES = 8192
 
+# Each d = 2 round multiplies the polar grid by 3.2, so round 9 would hold
+# 357 million points, 5.3 GiB for the points alone; refinement stops before
+# a level above this many (64 MiB).
+_POLAR_MAX_POINTS = 2**22
+
 
 @lru_cache(maxsize=16)
 def _gauss_legendre(n):
@@ -221,8 +210,9 @@ def quad_radial(integrand, d, tol=1e-9, max_rounds=9):
     Gauss-Legendre on an adaptively chosen symmetric interval.
 
     Refines until two consecutive levels differ by less than tol (absolute);
-    raises NoConvergence when the refinement budget runs out, and in d=1
-    before a level would need more than _GL_MAX_NODES nodes.
+    raises NoConvergence when the refinement budget runs out, and before a
+    level would need more than _GL_MAX_NODES nodes (d=1) or
+    _POLAR_MAX_POINTS points (d=2).
     """
     if d not in (1, 2):
         raise DomainError("quad_radial supports d in {1, 2}")
@@ -251,6 +241,8 @@ def quad_radial(integrand, d, tol=1e-9, max_rounds=9):
     prev = None
     n_r, n_t = 128, 256
     for _ in range(max_rounds):
+        if n_r * n_t > _POLAR_MAX_POINTS:
+            break
         x, w = _gauss_legendre(n_r)
         r = 0.5 * r_max * (x + 1.0)
         wr = 0.5 * r_max * w * r
@@ -318,15 +310,3 @@ def make_rng(seed):
 def spawn_seed_sequences(seed, n):
     """n independent child SeedSequences of a root seed (stable spawn keys)."""
     return np.random.SeedSequence(seed).spawn(n)
-
-
-def mvn_sample(f, count, seed):
-    """count i.i.d. zero-mean Gaussian vectors with covariance f.factor @ f.factor.T.
-
-    Deterministic for a fixed seed. Returns an array of shape (count, m).
-    """
-    if count < 1:
-        raise DomainError("mvn_sample requires count >= 1")
-    rng = make_rng(seed)
-    z = rng.standard_normal((int(count), f.dimension))
-    return z @ f.factor.T

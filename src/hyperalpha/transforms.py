@@ -1,4 +1,4 @@
-"""Truncated wavelet transforms, the diagnostic curve C, scattering intensity.
+"""Truncated wavelet transforms and the diagnostic curve C.
 
 T_j(f_i, R) sums f_i(x / R^j) over the points of the pattern. Sums of many
 signed, nearly cancelling terms are the core numeric risk, so reductions
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ZeroFrequency, ZeroTransformSum
+from .errors import DomainError, ZeroTransformSum
 from .tapers import hermite_function_values
 
 _SUM_BLOCK = 1024
@@ -36,24 +36,6 @@ def _canonical_order(points):
     return points[np.lexsort(keys)]
 
 
-def blocked_sum(values, axis=0):
-    """Fixed-block pairwise reduction (block 1024) along an axis.
-
-    Zero-padding to a whole number of blocks leaves the sum unchanged and
-    makes the reduction tree independent of how the caller batched the data.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    values = np.moveaxis(values, axis, 0)
-    n = values.shape[0]
-    if n == 0:
-        return np.zeros(values.shape[1:])
-    n_blocks = -(-n // _SUM_BLOCK)
-    padded = np.zeros((n_blocks * _SUM_BLOCK,) + values.shape[1:])
-    padded[:n] = values
-    per_block = padded.reshape((n_blocks, _SUM_BLOCK) + values.shape[1:]).sum(axis=1)
-    return per_block.sum(axis=0)
-
-
 @dataclass(frozen=True)
 class TransformGrid:
     """Transforms for every (scale, taper) pair; values has shape (|J|, |I|)."""
@@ -62,12 +44,6 @@ class TransformGrid:
     indices: tuple
     values: np.ndarray
     R: float
-
-    def value(self, i, j):
-        row = int(np.argmin(np.abs(self.scales - j)))
-        if abs(self.scales[row] - j) > 1e-12:
-            raise KeyError(f"scale {j} not on the grid")
-        return float(self.values[row, self.indices.index(tuple(i))])
 
 
 @dataclass(frozen=True)
@@ -162,21 +138,3 @@ def curve_C(p, set_, grid):
         R=p.half_width,
         taper_set_id=taper_set_id(set_),
     )
-
-
-def scattering_intensity(p, k, normalization_exponent=1):
-    """|sum_x e^{-i k.x}|^2 normalized by window volume to the given power.
-
-    Diagnostics only; exponent 1 is the standard convention, 2 matches a
-    literal reading of the source formula. Not used by the estimator.
-    """
-    k = np.asarray(k, dtype=np.float64)
-    if np.all(k == 0):
-        raise ZeroFrequency("scattering intensity undefined at k = 0")
-    if normalization_exponent not in (1, 2):
-        raise DomainError("normalization exponent must be 1 or 2")
-    phases = p.points @ k
-    re = blocked_sum(np.cos(phases))
-    im = blocked_sum(np.sin(phases))
-    vol = p.window.volume(p.dim)
-    return float((re * re + im * im) / vol**normalization_exponent)

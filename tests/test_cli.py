@@ -6,8 +6,12 @@ import time
 import numpy as np
 import pytest
 
-from hyperalpha.cli import _read_rows, main, read_pattern_csv, write_pattern_csv
-from hyperalpha.simulate import poisson
+from hyperalpha.cli import (_read_rows, main, read_pattern_csv, run_pipeline,
+                           write_pattern_csv)
+from hyperalpha.estimator import DIAGNOSTIC_GRID
+from hyperalpha.simulate import cloaked_lattice, poisson
+from hyperalpha.tapers import build_taper_set
+from hyperalpha.transforms import curve_C
 
 
 @pytest.fixture(scope="module")
@@ -94,16 +98,19 @@ class TestExitCodes:
 
     def test_numerical_failure(self, tmp_path, capsys):
         # three points normalize to a window of half-width sqrt(3)/2 < 1,
-        # too small for any scale calibration
+        # too small for any scale calibration; both commands that normalize
+        # a pattern say so
         path = tmp_path / "tiny.csv"
         path.write_text("0.5,0.5\n-0.5,-0.5\n0.1,-0.3\n")
-        rc = main(["estimate", "--input", str(path), "--half-width", "1.0"])
-        assert rc == 4
-        err = capsys.readouterr().err
-        assert "error" in err
-        assert "too few points" in err
-        assert "3 points in 2-D" in err
-        assert "normalized window half-width of 0.866" in err
+        for command in (["estimate"],
+                        ["curve", "--output", str(tmp_path / "curve.csv")]):
+            rc = main(command + ["--input", str(path), "--half-width", "1.0"])
+            assert rc == 4
+            err = capsys.readouterr().err
+            assert "error" in err
+            assert "too few points" in err
+            assert "3 points in 2-D" in err
+            assert "normalized window half-width of 0.866" in err
 
 
 class TestEstimate:
@@ -224,6 +231,14 @@ class TestCurveCommand:
         parsed = [[float(cell) for cell in row.split(",")] for row in data]
         assert all(len(row) == 3 for row in parsed)
         assert parsed[0][0] == pytest.approx(0.11)
+        # the reference is the mean curve of Poisson replicates drawn at the
+        # pattern's normalized R with seeds seed + 10000 + k (--seed is 0)
+        R = float(lines[1].split()[1].removeprefix("R="))
+        set4 = build_taper_set(2, 4)
+        want = np.mean([curve_C(poisson(1.0, R, seed=10_000 + k), set4,
+                                DIAGNOSTIC_GRID).values for k in range(2)],
+                       axis=0)
+        np.testing.assert_array_equal([row[2] for row in parsed], want)
 
 
 class TestSimulateCommand:
@@ -265,6 +280,18 @@ class TestCoverageCommand:
         assert got["replicates"] == 3
         assert 0.0 <= got["coverage"] <= 1.0
         assert got["covered"] <= 3
+
+    def test_calibration_matches_run_pipeline(self, capsys):
+        # coverage calibrates j_min and j_max on its pilot replicate (seed
+        # --seed) the way estimate calibrates that pattern
+        rc = main(["coverage", "--alpha", "0.5", "--half-width", "12",
+                   "--replicates", "2", "--ci-draws", "256", "--seed", "2"])
+        assert rc == 0
+        got = json.loads(capsys.readouterr().out)
+        report, _ = run_pipeline(cloaked_lattice(0.5, 0.25, 12.0, 2),
+                                 ci_level=0.95, ci_draws=256)
+        assert got["j_min"] == report.diagnostics["j_min"]
+        assert got["j_max"] == report.diagnostics["j_max"]
 
 
 def test_console_script_version():

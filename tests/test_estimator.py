@@ -22,10 +22,10 @@ from hyperalpha.estimator import (
     pooled_estimate,
     select_jmin,
 )
-from hyperalpha.geometry import PointPattern, Window
-from hyperalpha.simulate import poisson
+from hyperalpha.geometry import PointPattern, Window, normalize_intensity
+from hyperalpha.simulate import cloaked_lattice, poisson
 from hyperalpha.tapers import build_taper_set
-from hyperalpha.transforms import CurveC, TransformGrid, taper_set_id
+from hyperalpha.transforms import CurveC, TransformGrid, curve_C, taper_set_id
 
 
 class TestWeights:
@@ -134,6 +134,45 @@ class TestExactIdentity:
         monkeypatch.setattr(est_mod, "transform_grid", shifted)
         a2 = estimate_alpha(p, small_set, plan).alpha_hat
         assert a1 == pytest.approx(a2, abs=1e-12)
+
+
+# Symmetries of the window [-R, R]^d: in d = 2 a 90 degree rotation, a
+# reflection in an axis and the swap of the axes; in d = 1 x -> -x.
+SYMMETRIES = {
+    2: (lambda x: np.column_stack([-x[:, 1], x[:, 0]]),
+        lambda x: x * [-1.0, 1.0],
+        lambda x: x[:, ::-1]),
+    1: (lambda x: -x,),
+}
+
+
+class TestSymmetryInvariance:
+    @given(st.sampled_from(["cloaked", "poisson", "poisson-1d"]),
+           st.integers(min_value=0, max_value=3))
+    @settings(max_examples=12, deadline=None)
+    def test_window_symmetries(self, model, seed):
+        # the taper set is closed under these maps up to the sign of each
+        # transform, so sums of squared transforms move by rounding only
+        if model == "cloaked":
+            p = cloaked_lattice(1.0, 0.25, 15.0, seed)
+        else:
+            p = poisson(1.0, 15.0, seed, d=1 if model == "poisson-1d" else 2)
+        set_ = build_taper_set(p.dim, 10)
+
+        def summary(points):
+            norm, _ = normalize_intensity(
+                PointPattern(points, p.window, dim=p.dim))
+            curve = curve_C(norm, set_, DIAGNOSTIC_GRID)
+            j_min = select_jmin(curve, calibrate_jmax(set_, norm.half_width))
+            plan = default_scale_plan(0.3, 0.9)
+            return estimate_alpha(norm, set_, plan).alpha_hat, curve.values, j_min
+
+        alpha, values, j_min = summary(p.points)
+        for move in SYMMETRIES[p.dim]:
+            moved_alpha, moved_values, moved_j_min = summary(move(p.points))
+            assert abs(moved_alpha - alpha) <= 1e-12
+            assert np.abs(moved_values - values).max() <= 1e-12
+            assert moved_j_min == j_min
 
 
 class TestEstimateAlpha:

@@ -9,7 +9,6 @@ from hyperalpha.geometry import (
     Window,
     estimate_intensity,
     normalize_intensity,
-    restrict,
 )
 
 
@@ -28,11 +27,6 @@ class TestWindow:
             Window(0.0)
         with pytest.raises(DomainError):
             Window(-1.0)
-
-    def test_from_ball_bounding_cube(self):
-        with pytest.warns(UserWarning):
-            w = Window.from_ball(2.0)
-        assert w.half_width == 2.0
 
 
 class TestPointPattern:
@@ -103,21 +97,3 @@ class TestIntensity:
         pts = rng.uniform(-R, R, size=(n, 2))
         q, _ = normalize_intensity(square_pattern(pts, R))
         assert estimate_intensity(q) == pytest.approx(1.0, rel=1e-9)
-
-
-class TestRestrict:
-    def test_closed_inclusion(self):
-        p = square_pattern([[0.0, 0.0], [1.0, 1.0], [1.5, 0.0]], 2.0)
-        q = restrict(p, 1.0)
-        assert len(q) == 2
-        assert q.half_width == 1.0
-
-    def test_rejects_bad_radius(self):
-        p = square_pattern([[0.0, 0.0]], 2.0)
-        with pytest.raises(DomainError):
-            restrict(p, 0.0)
-
-    def test_restrict_larger_is_identity(self):
-        p = square_pattern([[0.3, -0.7]], 1.0)
-        q = restrict(p, 5.0)
-        np.testing.assert_array_equal(q.points, p.points)

@@ -14,12 +14,9 @@ from hyperalpha.numerics import (
     hermite_coeffs,
     log_gamma,
     make_rng,
-    mvn_sample,
     psd_factor,
     quad_radial,
     signed_logsumexp,
-    slv_mul,
-    slv_sum,
     spawn_seed_sequences,
     trigamma,
 )
@@ -105,18 +102,10 @@ class TestAngularMoment:
 
 
 class TestSignedLog:
-    def test_mul(self):
-        a = SignedLogValue(1, math.log(3.0))
-        b = SignedLogValue(-1, math.log(2.0))
-        c = slv_mul(a, b)
-        assert c.sign == -1
-        assert c.log_magnitude == pytest.approx(math.log(6.0), rel=1e-15)
-
     def test_sum_cancellation(self):
-        vals = [SignedLogValue(1, math.log(5.0)), SignedLogValue(-1, math.log(3.0))]
-        s = slv_sum(vals)
-        assert s.sign == 1
-        assert s.log_magnitude == pytest.approx(math.log(2.0), rel=1e-12)
+        s, lv = signed_logsumexp([1, -1], [math.log(5.0), math.log(3.0)])
+        assert s == 1
+        assert lv == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_roundtrip(self):
         for x in (2.5, -1e-40, 0.0, 7e30):
@@ -124,9 +113,9 @@ class TestSignedLog:
                 x, rel=1e-14)
 
     def test_sum_to_zero(self):
-        vals = [SignedLogValue(1, 0.0), SignedLogValue(-1, 0.0)]
-        s = slv_sum(vals)
-        assert s.sign == 0
+        s, lv = signed_logsumexp([1, -1], [0.0, 0.0])
+        assert s == 0
+        assert lv == -math.inf
 
     def test_logsumexp_matches_direct(self):
         rng = np.random.default_rng(3)
@@ -252,6 +241,20 @@ class TestQuadRadial:
         assert max(requested) == numerics._GL_MAX_NODES
         assert requested == sorted(set(requested))
 
+    def test_d2_point_budget(self):
+        # Each polar level holds 3.2 times the points of the one before, so
+        # refinement must give up before a level exceeds the budget; the
+        # integrand never settles and records the size of every level.
+        sizes = []
+
+        def restless(k):
+            sizes.append(len(k))
+            return np.full(len(k), float(len(sizes)))
+
+        with pytest.raises(NoConvergence):
+            quad_radial(restless, 2, max_rounds=20)
+        assert max(sizes) <= numerics._POLAR_MAX_POINTS
+
     def test_memoized_rule_is_leggauss(self):
         x, w = numerics._gauss_legendre(300)
         ref_x, ref_w = np.polynomial.legendre.leggauss(300)
@@ -289,15 +292,3 @@ class TestRng:
         seqs = spawn_seed_sequences(7, 3)
         draws = [np.random.Generator(np.random.Philox(s)).normal() for s in seqs]
         assert len(set(draws)) == 3
-
-    def test_mvn_sample_moments(self):
-        cov = np.array([[2.0, 0.6], [0.6, 0.5]])
-        f = psd_factor(cov)
-        x = mvn_sample(f, 200_000, seed=5)
-        emp = np.cov(x.T)
-        np.testing.assert_allclose(emp, cov, atol=0.03)
-
-    def test_mvn_sample_deterministic(self):
-        f = psd_factor(np.eye(3))
-        np.testing.assert_array_equal(
-            mvn_sample(f, 64, seed=9), mvn_sample(f, 64, seed=9))

@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from hyperalpha.errors import DomainError, ZeroFrequency, ZeroTransformSum
+from hyperalpha.errors import DomainError, ZeroTransformSum
 from hyperalpha.geometry import PointPattern, Window
 from hyperalpha.simulate import poisson
 from hyperalpha.tapers import build_taper_set, taper_eval
 from hyperalpha.transforms import (
-    blocked_sum,
     curve_C,
-    scattering_intensity,
     taper_set_id,
     transform_grid,
     wavelet_transform,
@@ -19,26 +15,6 @@ from hyperalpha.transforms import (
 
 def pat(points, R):
     return PointPattern(np.asarray(points, dtype=float), Window(R), dim=2)
-
-
-class TestBlockedSum:
-    def test_matches_plain_sum(self):
-        rng = np.random.default_rng(0)
-        for n in (1, 7, 1024, 1025, 5000):
-            v = rng.normal(size=n)
-            assert blocked_sum(v) == pytest.approx(v.sum(), rel=1e-12)
-
-    def test_2d_axis(self):
-        rng = np.random.default_rng(1)
-        v = rng.normal(size=(2050, 3))
-        np.testing.assert_allclose(blocked_sum(v, axis=0), v.sum(axis=0),
-                                   rtol=1e-12)
-
-    @given(st.integers(min_value=1, max_value=3000))
-    @settings(max_examples=25, deadline=None)
-    def test_any_length(self, n):
-        v = np.linspace(-1.0, 1.0, n)
-        assert blocked_sum(v) == pytest.approx(v.sum(), abs=1e-9)
 
 
 class TestWaveletTransform:
@@ -94,7 +70,7 @@ class TestTransformGrid:
         assert g.values.shape == (3, len(set10.indices))
         for jx, j in enumerate(J):
             for i in ((0, 1), (2, 3), (9, 8)):
-                assert g.value(i, j) == pytest.approx(
+                assert g.values[jx, set10.indices.index(i)] == pytest.approx(
                     wavelet_transform(p, set10, i, j), rel=1e-10)
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -127,12 +103,6 @@ class TestTransformGrid:
             g2 = transform_grid(PointPattern(pts[::-1], Window(6.0), dim=d),
                                 set_, J)
             np.testing.assert_array_equal(g1.values, g2.values)
-
-    def test_unknown_scale_raises(self, set10):
-        p = pat([[0.0, 0.5]], 4.0)
-        g = transform_grid(p, set10, np.array([0.5]))
-        with pytest.raises(KeyError):
-            g.value((0, 1), 0.75)
 
 
 class TestCurveC:
@@ -197,31 +167,3 @@ class TestPoissonMoments:
         m = np.mean(vals)
         se = np.std(vals, ddof=1) / np.sqrt(400)
         assert abs(m) < 5.0 * se + 1e-12
-
-
-class TestScatteringIntensity:
-    def test_single_point(self):
-        p = pat([[1.0, 2.0]], 4.0)
-        # |sum e^{ikx}|^2 / (2R)^d for one point is 1/(2R)^d
-        val = scattering_intensity(p, np.array([0.3, -0.2]))
-        assert val == pytest.approx(1.0 / 64.0, rel=1e-12)
-
-    def test_zero_frequency_rejected(self):
-        p = pat([[0.0, 0.0]], 2.0)
-        with pytest.raises(ZeroFrequency):
-            scattering_intensity(p, np.array([0.0, 0.0]))
-
-    def test_poisson_expectation_near_one(self):
-        # E S(k) = lambda at exponent 1 normalization, here lambda = 1
-        k = np.array([0.9, 0.4])
-        vals = [scattering_intensity(poisson(1.0, 10.0, seed=31 * r), k)
-                for r in range(300)]
-        m = np.mean(vals)
-        se = np.std(vals, ddof=1) / np.sqrt(300)
-        assert abs(m - 1.0) < 5.0 * se
-
-    def test_bad_exponent(self):
-        p = pat([[0.0, 0.0]], 2.0)
-        with pytest.raises(DomainError):
-            scattering_intensity(p, np.array([0.1, 0.1]),
-                                 normalization_exponent=3)
