@@ -22,8 +22,8 @@ from .geometry import (NormalizationRecord, PointPattern, Window,
 from .inference import (ConfidenceInterval, ZSample, confidence_interval,
                         pivot_quantiles, quantile, sample_Z)
 from .numerics import (PsdFactor, SignedLogValue, angular_moment,
-                       hermite_coeffs, log_gamma, make_rng, psd_factor,
-                       quad_radial, signed_logsumexp, trigamma)
+                       hermite_coeffs, make_rng, psd_factor, quad_radial,
+                       signed_logsumexp, trigamma)
 from .simulate import (cloaked_lattice, matched_process, one_sided_stable,
                        poisson, rsa)
 from .tapers import (TaperSet, build_taper_set, hermite_function_values,
@@ -45,8 +45,7 @@ __all__ = [
     "ConfidenceInterval", "ZSample", "confidence_interval", "pivot_quantiles",
     "quantile", "sample_Z",
     "PsdFactor", "SignedLogValue", "angular_moment", "hermite_coeffs",
-    "log_gamma", "make_rng", "psd_factor", "quad_radial",
-    "signed_logsumexp", "trigamma",
+    "make_rng", "psd_factor", "quad_radial", "signed_logsumexp", "trigamma",
     "cloaked_lattice", "matched_process", "one_sided_stable", "poisson", "rsa",
     "TaperSet", "build_taper_set", "hermite_function_values",
     "numerical_support", "taper_eval",

@@ -296,9 +296,11 @@ def _cmd_coverage(args):
     est_set, plan, _, j_min, j_max = _calibrate(
         pilot, args.imax, DEFAULT_SPATIAL_SCALE, j_min=None, j_max=None,
         n_scales=args.nscales, reduced=True)
-    # quantiles of the pivot at the true exponent, shared by all replicates
-    q_lo, q_hi = pivot_quantiles(est_set, plan, max(true_alpha, 0.0), R,
-                                 level, draws=args.ci_draws, seed=args.seed)
+    # quantiles of the pivot at the true exponent, shared by all replicates,
+    # at the pilot's normalized R, the window each pivot is measured in
+    q_lo, q_hi = pivot_quantiles(est_set, plan, max(true_alpha, 0.0),
+                                 pilot.half_width, level,
+                                 draws=args.ci_draws, seed=args.seed)
     covered = 0
     alphas = []
     for rep in range(args.replicates):

@@ -1,11 +1,28 @@
-"""Gaussian-limit covariance of the transform vector, exact in log space.
+"""Gaussian-limit covariance of the transform vector, as one matrix product.
 
-One closed form serves d = 1 and d = 2. Each entry reduces to a finite sum
-over Hermite coefficient degrees: a radial Gamma factor times a moment of
-the unit sphere S^(d-1), weighted by powers of R. Terms span hundreds of
-orders of magnitude, so the sum is grouped by total degree and accumulated
-with signed log-sum-exp; no intermediate is ever exponentiated before the
-final, O(1)-sized result.
+One closed form serves d = 1 and d = 2. Each entry is a finite sum over
+the total Hermite degrees L1, L2 of its two tapers,
+
+    entry = 1/2 * sum over (L1, L2) of D_pair(L1, L2) * K_{L1,L2}(j1, j2),
+
+so a whole matrix is 0.5 * D @ K. The degree table D is indexed by taper
+pair and (L1, L2) and depends on neither beta, R nor the scales; the scale
+kernel K is indexed by (L1, L2) and scale pair and is shared by every
+taper pair.
+
+D comes from per-axis tables. The moment of the unit sphere S^(d-1)
+splits into per-axis factors and a factor of the total degree,
+S(p) = 2 prod_k Gamma((p_k+1)/2) / Gamma((|p|+d)/2), so D is the
+convolution over axes of T[a, b] = c_n1(a) c_n2(b) Gamma((a+b+1)/2) (zero
+for odd a+b), times 2 / Gamma((L1+L2+d)/2) and the pair's phase; c_n are
+the monomial coefficients of the normalized Hermite polynomials.
+
+K = Gamma(g) R^((L2-L1)(j2-j1)/2) / cosh(x)^g with x = (j2-j1) log R and
+g = (d+beta+L1+L2)/2: writing the shared Gaussian width
+(R^(2 j1) + R^(2 j2))/2 as R^(j1+j2) cosh(x) cancels the powers R^(j1+j2)
+exactly. K is evaluated as Gamma(g) exp((L2-L1) x/2 - g log cosh x), whose
+exponent is at most g log 2, so K <= Gamma(g) 2^g for every R and scale
+pair and only Gamma(g) itself can overflow (beta in the hundreds).
 
 Entries are for unscaled tapers. The physical taper scale c contributes a
 common factor c^(beta-d), kept as log metadata on the matrix; a common
@@ -14,121 +31,90 @@ statistic, so it never enters the confidence interval.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import block_diag
+from scipy.special import gamma
 
 from .errors import DomainError, Overflow
-from .numerics import (angular_moment, hermite_coeff_arrays, log_gamma,
-                       signed_logsumexp)
+from .numerics import hermite_coeff_arrays
 
 _MAX_ORDER = 32
-_LOG_B_SIZE = 2 * _MAX_ORDER + 1
 
 
-@lru_cache(maxsize=2)
-def _log_sphere_table(d):
-    """log moments of the unit sphere S^(d-1) by axis powers, -inf if any is odd.
+def _convolve(A, B):
+    """Full 2-D convolution of (P, m, m) and (P, n, n) tables, pair by pair."""
+    m, n = A.shape[1], B.shape[1]
+    out = np.zeros((len(A), m + n - 1, m + n - 1))
+    for a, b in np.ndindex(m, m):
+        out[:, a:a + n, b:b + n] += A[:, a, b, None, None] * B
+    return out
 
-    d = 2: the angular moments B(p, q); d = 1: 2 for even p, as S^0 = {-1, 1}.
+
+def _degree_tables(i1s, i2s):
+    """D for the taper pairs (i1s[p], i2s[p]), shape (P, nL, nL).
+
+    nL = d * n_max + 1 total degrees per taper. Pairs that differ in
+    parity on some axis get an all-zero table.
     """
-    logs = np.full((_LOG_B_SIZE,) * d, -np.inf)
-    if d == 1:
-        logs[::2] = np.log(2.0)
-        return logs
-    for p in range(0, _LOG_B_SIZE, 2):
-        for q in range(0, _LOG_B_SIZE, 2):
-            logs[p, q] = np.log(angular_moment(p, q))
-    return logs
+    P, d = i1s.shape
+    N = int(max(i1s.max(), i2s.max())) + 1
+    coef = np.zeros((N, N))
+    for n in range(N):
+        s, lm = hermite_coeff_arrays(n)
+        coef[n, :n + 1] = s * np.exp(lm)
+    ab = np.add.outer(np.arange(N), np.arange(N))
+    axis_gamma = np.where(ab % 2 == 0, gamma((ab + 1) / 2.0), 0.0)
+    D = np.ones((P, 1, 1))
+    for k in range(d):
+        D = _convolve(D, coef[i1s[:, k], :, None] * coef[i2s[:, k], None, :]
+                      * axis_gamma)
+    L = np.add.outer(np.arange(D.shape[1]), np.arange(D.shape[1]))
+    # i^|i2| (-i)^|i1|, real for parity-matched pairs
+    phase = 1.0 - 2.0 * (((i2s.sum(1) - i1s.sum(1)) // 2) % 2)
+    return D * (2.0 / gamma((L + d) / 2.0)) * phase[:, None, None]
 
 
-def _parity_zero(i1, i2):
-    return any((a - b) % 2 for a, b in zip(i1, i2))
+def _scale_kernel(nL, d, beta, R, j1, j2):
+    """K over (L1, L2) and the paired scales, shape (nL, nL, len(j1))."""
+    L = np.arange(nL, dtype=np.float64)
+    g = (d + beta + np.add.outer(L, L))[..., None] / 2.0
+    gam = gamma(g)
+    if not np.all(np.isfinite(gam)):
+        raise Overflow("beta too large: Gamma((d+beta+L1+L2)/2) overflows")
+    dL = np.subtract.outer(L, L)[..., None]  # L1 - L2
+    x = (j2 - j1) * np.log(R)
+    return gam * np.exp(-dL * x / 2.0 - g * (np.logaddexp(x, -x) - np.log(2.0)))
 
 
-def _prefactor(i1, i2):
-    """i^|i2| (-i)^|i1| for parity-matched indices; real by construction."""
-    return -1.0 if ((sum(i2) - sum(i1)) // 2) % 2 else 1.0
+def _entries(i1s, i2s, beta, R, j1, j2):
+    """Entries for taper pairs (i1s[p], i2s[p]) over paired scale arrays.
 
-
-@lru_cache(maxsize=None)
-def _degree_table(i1, i2):
-    """Coefficient sum grouped by total degree per taper, d = len(i1).
-
-    Returns (L1, L2, sign, logmag) arrays: for each pair of total degrees
-    (L1 from taper 1, L2 from taper 2), the signed log of
-
-        sum over splits  prod_k c_{l1k} c_{l2k} * S(l11+l21, ..., l1d+l2d)
-
-    with S the sphere moment of _log_sphere_table. All R- and
-    beta-dependence is outside this table, so it is computed once per taper
-    pair and reused for every scale pair and every beta.
+    Returns a (pairs, scales) array; every covariance value is computed here.
     """
-    d = len(i1)
-    logS = _log_sphere_table(d)
-    coefs = [hermite_coeff_arrays(n) for n in (*i1, *i2)]
-    degs = [np.nonzero(s)[0] for s, _ in coefs]
-    grid = np.meshgrid(*degs, indexing="ij", sparse=False)
-    sgn = np.ones(grid[0].shape)
-    logm = np.zeros(grid[0].shape)
-    for (s, lm), dd in zip(coefs, grid):
-        sgn = sgn * s[dd]
-        logm = logm + lm[dd]
-    logs_split = logS[tuple(grid[k] + grid[d + k] for k in range(d))]
-    keep = np.isfinite(logs_split) & (sgn != 0)
-    L1 = sum(grid[:d])[keep]
-    L2 = sum(grid[d:])[keep]
-    sgn = sgn[keep]
-    logm = logm[keep] + logs_split[keep]
-    key = L1 * (2 * _LOG_B_SIZE) + L2
-    uniq, inv = np.unique(key, return_inverse=True)
-    out_sgn, out_log = np.array([
-        signed_logsumexp(sgn[inv == g], logm[inv == g]) for g in range(len(uniq))
-    ]).T
-    live = out_sgn != 0
-    out_L1, out_L2 = np.divmod(uniq[live], 2 * _LOG_B_SIZE)
-    return (out_L1.astype(np.float64), out_L2.astype(np.float64),
-            out_sgn[live], out_log[live])
-
-
-def _entries(i1, i2, beta, R, j1, j2):
-    """Entries for taper pair (i1, i2), d = len(i1), over paired scale arrays."""
+    i1s = np.asarray(i1s, dtype=np.int64)
+    i2s = np.asarray(i2s, dtype=np.int64)
     j1 = np.asarray(j1, dtype=np.float64)
     j2 = np.asarray(j2, dtype=np.float64)
-    if _parity_zero(i1, i2):
-        return np.zeros(j1.shape)
-    d = len(i1)
-    L1, L2, sgn, logD = _degree_table(tuple(i1), tuple(i2))
-    log_R = np.log(R)
-    g = (d + beta + L1 + L2) / 2.0
-    log_gam = np.array([log_gamma(x) for x in g])
-    # log of (R^{2 j1} + R^{2 j2}) / 2, the shared Gaussian width
-    log_mean = np.logaddexp(2 * j1 * log_R, 2 * j2 * log_R) - np.log(2.0)
-    terms = (
-        logD[:, None]
-        + log_gam[:, None]
-        + log_R * ((beta + d) / 2.0 * (j1 + j2)[None, :]
-                   + np.outer(L1, j1) + np.outer(L2, j2))
-        - np.outer(g, log_mean)
-    )
-    s, lv = signed_logsumexp(np.broadcast_to(sgn[:, None], terms.shape), terms, axis=0)
-    return _prefactor(i1, i2) * 0.5 * s * np.exp(lv)
+    D = _degree_tables(i1s, i2s)
+    K = _scale_kernel(D.shape[1], i1s.shape[1], beta, R, j1, j2)
+    return 0.5 * (D.reshape(len(D), -1) @ K.reshape(-1, len(j1)))
 
 
 def sigma_entry_d2(i1, i2, j1, j2, beta, R):
     """One covariance entry in dimension 2, unscaled tapers.
 
-    Closed form: prefactor * R^{(beta+2)(j1+j2)/2} * (1/2) * sum over
-    degree splits of coefficient products, an angular moment
-    B(l11+l21, l12+l22), Gamma((2+beta+L1+L2)/2), R^{j1 L1 + j2 L2}, and
-    ((R^{2 j1}+R^{2 j2})/2)^{-(2+beta+L1+L2)/2} with L1, L2 the per-taper
-    total degrees. A differently indexed rendering of the same sum attaches
-    complex unit powers per split; the grouped form above is the one whose
-    terms are individually real, and the quadrature oracle pins it down.
-    In d = 1 the sum has one coefficient per taper, beta+2 becomes beta+1
-    (in the power of R, the Gamma argument and the exponent), and the S^0
-    moment, 2 for an even power, replaces B; the 1/2 stays.
+    Closed form: prefactor * (1/2) * sum over the per-taper total degrees
+    L1, L2 of D(L1, L2) * Gamma(g) * R^((L2-L1)(j2-j1)/2)
+    / cosh((j2-j1) log R)^g, with g = (2+beta+L1+L2)/2. D(L1, L2) sums,
+    over degree splits, the coefficient products times the angular moment
+    B(l11+l21, l12+l22); B is 2 Gamma((p+1)/2) Gamma((q+1)/2) /
+    Gamma((p+q+2)/2), so D is a convolution of per-axis tables. A
+    differently indexed rendering of the same sum attaches complex unit
+    powers per split; the grouped form above is the one whose terms are
+    individually real, and the quadrature oracle pins it down. In d = 1 the
+    sum has one coefficient per taper, 2+beta becomes 1+beta in g, and the
+    S^0 moment, 2 for an even power, replaces B; the 1/2 stays.
     """
     i1 = tuple(int(v) for v in i1)
     i2 = tuple(int(v) for v in i2)
@@ -142,7 +128,7 @@ def sigma_entry_d2(i1, i2, j1, j2, beta, R):
         raise DomainError("beta must be nonnegative")
     if not (j1 > 0 and j2 > 0):
         raise DomainError("scales must be positive")
-    return float(_entries(i1, i2, beta, R, [j1], [j2])[0])
+    return float(_entries([i1], [i2], beta, R, [j1], [j2])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -174,38 +160,27 @@ def _assemble(indices, J, beta, R):
     """Matrix and structural-zero mask in the CovBlockMatrix row layout.
 
     Parity makes at least half the entries exact zeros; they are marked and
-    skipped, never computed. Each taper pair is filled across all scale
-    pairs at once, so the matrix is exactly symmetric by construction.
+    skipped, never computed. Each parity-matched taper pair a <= b is
+    filled across all scale pairs at once and mirrored into (b, a), so the
+    matrix is exactly symmetric by construction.
     """
-    nI, nJ = len(indices), len(J)
-    n = nI * nJ
-    matrix = np.zeros((n, n))
-    zero = np.ones((n, n), dtype=bool)
-    jx, jy = np.meshgrid(np.arange(nJ), np.arange(nJ), indexing="ij")
-    jx, jy = jx.ravel(), jy.ravel()
-    j1s, j2s = J[jx], J[jy]
-    for a in range(nI):
-        for b in range(a, nI):
-            ia, ib = indices[a], indices[b]
-            if _parity_zero(ia, ib):
-                continue
-            vals = _entries(ia, ib, beta, R, j1s, j2s)
-            if a == b:
-                # same-taper block: mirror the upper scale triangle so the
-                # matrix is symmetric to the last bit, not just to round-off
-                vm = vals.reshape(nJ, nJ)
-                iu = np.triu_indices(nJ, 1)
-                vm[iu[1], iu[0]] = vm[iu]
-                vals = vm.ravel()
-            rows = jx * nI + a
-            cols = jy * nI + b
-            matrix[rows, cols] = vals
-            zero[rows, cols] = False
-            if a != b:
-                # swapped tapers = swapped scales, from the same table
-                matrix[jx * nI + b, jy * nI + a] = vals.reshape(nJ, nJ).T.ravel()
-                zero[jx * nI + b, jy * nI + a] = False
-    return matrix, zero
+    idx = np.asarray(indices)
+    nI, nJ = len(idx), len(J)
+    parity = idx % 2
+    zero_pair = (parity[:, None, :] != parity[None, :, :]).any(axis=-1)
+    A, B = np.nonzero(np.triu(~zero_pair))
+    j1, j2 = np.meshgrid(J, J, indexing="ij")
+    vals = _entries(idx[A], idx[B], beta, R, j1.ravel(), j2.ravel())
+    vals = vals.reshape(-1, nJ, nJ)
+    # same-taper blocks: mirror the upper scale triangle so the matrix is
+    # symmetric to the last bit, not just to round-off
+    same = A == B
+    vals[same] = np.triu(vals[same]) + np.triu(vals[same], 1).transpose(0, 2, 1)
+    matrix = np.zeros((nJ, nI, nJ, nI))
+    matrix[:, A, :, B] = vals
+    # swapped tapers = swapped scales, from the same values
+    matrix[:, B, :, A] = vals.transpose(0, 2, 1)
+    return matrix.reshape(nI * nJ, -1), np.tile(zero_pair, (nJ, nJ))
 
 
 def sigma_transient(set_, J, beta, R):

@@ -23,7 +23,7 @@ class EmptyInput(HyperalphaError, ValueError):
 
 
 class Overflow(HyperalphaError, ArithmeticError):
-    """Requested order or degree exceeds the log-space budget."""
+    """Requested order, degree or exponent exceeds the supported range."""
 
 
 class NoConvergence(HyperalphaError, ArithmeticError):

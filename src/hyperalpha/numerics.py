@@ -1,16 +1,14 @@
 """Special functions, signed log-space arithmetic, quadrature, PSD factors, RNG.
 
-Everything here is deterministic and pure. The signed log representation
-exists because covariance assembly multiplies Gamma values around 1e40
-against coefficient products around 1e-40; neither factor may be formed
-as a plain float before the two meet.
+Everything here is deterministic and pure. Hermite coefficients are
+built and stored as signed logs (sign, log magnitude).
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, polygamma
+from scipy.special import polygamma
 
 from .errors import DomainError, NoConvergence, NotPsd, Overflow
 
@@ -59,14 +57,6 @@ def signed_logsumexp(signs, logmags, axis=None):
     if np.ndim(out_sign) == 0:
         return float(out_sign), float(out_log)
     return out_sign, out_log
-
-
-def log_gamma(z):
-    """log Gamma(z) for z > 0."""
-    z = float(z)
-    if z <= 0:
-        raise DomainError(f"log_gamma requires z > 0, got {z}")
-    return float(gammaln(z))
 
 
 def trigamma(m):

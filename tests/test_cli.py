@@ -9,6 +9,7 @@ import pytest
 from hyperalpha.cli import (_read_rows, main, read_pattern_csv, run_pipeline,
                            write_pattern_csv)
 from hyperalpha.estimator import DIAGNOSTIC_GRID
+from hyperalpha.geometry import normalize_intensity
 from hyperalpha.simulate import cloaked_lattice, poisson
 from hyperalpha.tapers import build_taper_set
 from hyperalpha.transforms import curve_C
@@ -292,6 +293,23 @@ class TestCoverageCommand:
                                  ci_level=0.95, ci_draws=256)
         assert got["j_min"] == report.diagnostics["j_min"]
         assert got["j_max"] == report.diagnostics["j_max"]
+
+    def test_quantiles_use_normalized_half_width(self, monkeypatch, capsys):
+        # the shared pivot quantiles are taken at the normalized R that
+        # each replicate's pivot uses, not at the raw --half-width
+        import hyperalpha.cli as cli
+        real, seen = cli.pivot_quantiles, []
+
+        def recording(set_, plan, beta, R, *args, **kwargs):
+            seen.append(R)
+            return real(set_, plan, beta, R, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "pivot_quantiles", recording)
+        rc = main(["coverage", "--alpha", "0.5", "--half-width", "12",
+                   "--replicates", "2", "--ci-draws", "64", "--seed", "2"])
+        assert rc == 0
+        pilot, _ = normalize_intensity(cloaked_lattice(0.5, 0.25, 12, 2))
+        assert seen == [pilot.half_width]
 
 
 def test_console_script_version():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hyperalpha.covariance import (
-    CovBlockMatrix,
     _entries,
     sigma_asymptotic,
     sigma_entry_d2,
@@ -162,7 +161,7 @@ class TestEntryOracle:
             j2 = j1 if rng.integers(3) == 0 else float(
                 np.clip(j1 + rng.uniform(-0.25, 0.25), 0.3, 1.0))
             want = oracle_entry_d1(i1, i2, j1, j2, beta, R)
-            got = _entries((i1,), (i2,), beta, R, [j1], [j2])[0]
+            got = _entries([(i1,)], [(i2,)], beta, R, [j1], [j2])[0, 0]
             # quadrature's absolute tolerance, carried back through the
             # substitution, is of order R^{(beta+1)|j1-j2|/2}
             scale = max(abs(want), R ** ((beta + 1.0) * abs(j1 - j2) / 2.0))
@@ -210,6 +209,14 @@ class TestTransientMatrix:
         J = np.array([0.5, 0.8])
         m = sigma_transient(set4, J, 0.0, 25.0)
         np.testing.assert_allclose(np.diag(m.matrix), 1.0, rtol=1e-10)
+
+    def test_unit_diagonal_at_beta_zero_full_preset(self, set10):
+        # the order-9 tapers sum degree tables with heavy cancellation;
+        # the diagonal must stay 1 whatever R and the scales
+        for R in (10.0, 30.0, 100.0):
+            for J in (np.array([0.5, 0.8]), np.array([0.3, 1.0])):
+                m = sigma_transient(set10, J, 0.0, R)
+                np.testing.assert_allclose(np.diag(m.matrix), 1.0, rtol=5e-9)
 
     def test_structural_zero_fraction(self, set10):
         J = np.array([0.5, 0.75, 1.0])

@@ -25,7 +25,7 @@ from hyperalpha.estimator import (
 from hyperalpha.geometry import PointPattern, Window, normalize_intensity
 from hyperalpha.simulate import cloaked_lattice, poisson
 from hyperalpha.tapers import build_taper_set
-from hyperalpha.transforms import CurveC, TransformGrid, curve_C, taper_set_id
+from hyperalpha.transforms import CurveC, TransformGrid, curve_C
 
 
 class TestWeights:

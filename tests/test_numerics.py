@@ -12,7 +12,6 @@ from hyperalpha.numerics import (
     angular_moment,
     hermite_coeff_arrays,
     hermite_coeffs,
-    log_gamma,
     make_rng,
     psd_factor,
     quad_radial,
@@ -23,31 +22,8 @@ from hyperalpha.numerics import (
 
 # Reference values below were frozen from 30-digit arbitrary-precision
 # evaluations, independent of the library code paths under test.
-LOG_GAMMA_38 = 99.33061245478742692933
-LOG_GAMMA_HALF = 0.5723649429247000870717
 TRIGAMMA_75 = 0.01342261726990576130858
 TRIGAMMA_6 = 0.1813229557371153253613
-
-
-class TestLogGamma:
-    def test_exact_small_integers(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert log_gamma(2.0) == pytest.approx(0.0, abs=1e-15)
-        assert log_gamma(3.0) == pytest.approx(math.log(2.0), abs=1e-14)
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), abs=1e-14)
-
-    def test_half_integer(self):
-        assert log_gamma(0.5) == pytest.approx(LOG_GAMMA_HALF, abs=1e-14)
-
-    def test_large_argument(self):
-        assert log_gamma(38.0) == pytest.approx(LOG_GAMMA_38, rel=1e-14)
-
-    @given(st.floats(min_value=0.1, max_value=60.0))
-    @settings(max_examples=50, deadline=None)
-    def test_recurrence(self, z):
-        # Gamma(z+1) = z Gamma(z), in log form
-        assert log_gamma(z + 1.0) == pytest.approx(
-            log_gamma(z) + math.log(z), rel=1e-12, abs=1e-12)
 
 
 class TestTrigamma:
