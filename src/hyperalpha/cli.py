@@ -352,7 +352,8 @@ def build_parser():
                      help="confidence level, e.g. 0.95; omitting skips the CI")
     est.add_argument("--ci-draws", type=int, default=DEFAULT_CI_DRAWS)
     est.add_argument("--ci-full", action="store_true",
-                     help="use the full preset for the CI (slow)")
+                     help="use the full preset (--imax, --nscales) for the "
+                          "estimate and the CI, not the reduced one")
     est.add_argument("--curve-output", default=None,
                      help="also write the diagnostic curve CSV here")
     est.add_argument("--poisson-reference", action="store_true",

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpstrf
 from scipy.special import polygamma
 
 from .errors import DomainError, NoConvergence, NotPsd, Overflow
@@ -254,37 +255,108 @@ def quad_radial(integrand, d, tol=1e-9, max_rounds=9):
 
 @dataclass(frozen=True)
 class PsdFactor:
-    """Factor L of a clipped symmetric matrix, with M_clipped = L @ L.T."""
+    """Rank-revealing factor of a clipped symmetric matrix.
+
+    factor is an n x r matrix L with M_clipped = L @ L.T, r the numerical
+    rank. basis is an n x r matrix Q with orthonormal columns spanning the
+    same range, chosen so that L @ Q.T is the symmetric square root of
+    M_clipped. Each column of either is supported on one block of the
+    matrix's exact-nonzero pattern.
+    """
 
     dimension: int
     factor: np.ndarray
+    basis: np.ndarray
 
 
 _PSD_CLIP_REL = 1e-8
 
 
+def _blocks(nonzero):
+    """Index arrays of the connected components of a symmetric boolean pattern.
+
+    A dense frontier search: each step adds every index that a frontier row
+    reaches and that is not yet a member.
+    """
+    n = len(nonzero)
+    seen = np.zeros(n, dtype=bool)
+    blocks = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        members = np.zeros(n, dtype=bool)
+        members[start] = True
+        frontier = members.copy()
+        while frontier.any():
+            frontier = nonzero[frontier].any(axis=0) & ~members
+            members |= frontier
+        seen |= members
+        blocks.append(np.flatnonzero(members))
+    return blocks
+
+
 def psd_factor(M):
-    """Eigen-factor of a symmetric matrix, clipping round-off negatives.
+    """Rank-revealing factor of a symmetric matrix, clipping round-off negatives.
+
+    The matrix splits into the connected components of its exact-nonzero
+    pattern (for a transform covariance, its taper parity classes). Each
+    block gets LAPACK's pivoted Cholesky (dpstrf), stopped once every
+    remaining Schur complement diagonal is at most 1e-8 times the largest
+    diagonal entry of M. LAPACK's default tolerance, n * eps times that
+    entry, keeps columns that are mostly round-off: sampling through them
+    is then invariant under a common factor on M only to 1e-7, not 1e-12.
 
     Eigenvalues below -1e-8 times the largest eigenvalue raise NotPsd;
-    anything negative above that threshold is treated as zero.
+    anything above that and below the stopping level is treated as zero.
+    The largest eigenvalue is the largest squared singular value of a
+    block's factor. A nonzero block passes when plain Cholesky succeeds
+    after adding 1e-8 times that eigenvalue to its diagonal; the spectrum
+    of M is the union of its blocks' spectra.
+
+    Pivot order and rank follow round-off where diagonals tie (a taper's
+    variance is the same at every scale), so the factor jumps under tiny
+    changes of M. factor @ basis.T does not: per block the basis is the
+    polar factor U V^T of the factor U S V^T, and the product U S U^T is
+    the symmetric square root of the clipped matrix.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DomainError("psd_factor requires a square matrix")
-    if not np.allclose(M, M.T, rtol=0, atol=1e-12 * max(1.0, np.abs(M).max())):
+    if np.array_equal(M, M.T):
+        sym = M
+    elif np.allclose(M, M.T, rtol=0, atol=1e-12 * max(1.0, np.abs(M).max())):
+        sym = 0.5 * (M + M.T)
+    else:
         raise DomainError("psd_factor requires a symmetric matrix")
-    sym = 0.5 * (M + M.T)
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    top = float(eigvals.max(initial=0.0))
-    floor = -_PSD_CLIP_REL * max(top, 0.0)
-    if eigvals.min(initial=0.0) < floor:
-        raise NotPsd(
-            f"matrix eigenvalue {eigvals.min():.3e} below clipping floor {floor:.3e}"
-        )
-    clipped = np.clip(eigvals, 0.0, None)
-    L = eigvecs * np.sqrt(clipped)[None, :]
-    return PsdFactor(dimension=M.shape[0], factor=L)
+    tol = _PSD_CLIP_REL * max(np.diag(sym).max(initial=0.0), 0.0)
+    parts, top = [], 0.0
+    for rows in _blocks(sym != 0.0):
+        block = sym[np.ix_(rows, rows)]
+        c, piv, rank, _ = dpstrf(block, lower=1, tol=tol)
+        L = np.zeros((len(rows), rank))
+        # dpstrf leaves the strict upper triangle as it found it
+        L[piv - 1] = np.tril(c[:, :rank])
+        U, sv, Vt = np.linalg.svd(L, full_matrices=False)
+        top = max(top, float(sv[0]) ** 2 if rank else 0.0)
+        parts.append((rows, block, L, U @ Vt))
+    shift = _PSD_CLIP_REL * top
+    for _, block, _, _ in parts:
+        if not block.any():
+            continue
+        block.flat[::len(block) + 1] += shift
+        if dpotrf(block, lower=1, clean=0, overwrite_a=1)[1] != 0:
+            raise NotPsd(
+                f"matrix has an eigenvalue below the clipping floor {-shift:.3e} "
+                f"(-{_PSD_CLIP_REL:g} x the largest eigenvalue, {top:.3e})"
+            )
+    n, r = M.shape[0], sum(part[2].shape[1] for part in parts)
+    factor, basis = np.zeros((n, r)), np.zeros((n, r))
+    col = 0
+    for rows, _, L, Q in parts:
+        factor[rows, col:col + L.shape[1]] = L
+        basis[rows, col:col + L.shape[1]] = Q
+        col += L.shape[1]
+    return PsdFactor(dimension=n, factor=factor, basis=basis)
 
 
 def make_rng(seed):

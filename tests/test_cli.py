@@ -5,11 +5,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperalpha.cli import (_read_rows, main, read_pattern_csv, run_pipeline,
                            write_pattern_csv)
 from hyperalpha.estimator import DIAGNOSTIC_GRID
-from hyperalpha.geometry import normalize_intensity
+from hyperalpha.geometry import PointPattern, Window, normalize_intensity
 from hyperalpha.simulate import cloaked_lattice, poisson
 from hyperalpha.tapers import build_taper_set
 from hyperalpha.transforms import curve_C
@@ -113,6 +115,21 @@ class TestExitCodes:
             assert "3 points in 2-D" in err
             assert "normalized window half-width of 0.866" in err
 
+    def test_taper_order_limit_with_full_ci(self, pattern_csv, capsys):
+        # orders up to i_max - 1; above 12 the closed-form covariance loses
+        # precision, so a full-preset interval is refused there
+        path, _ = pattern_csv
+        base = ["estimate", "--input", path, "--half-width", "12",
+                "--nscales", "6", "--ci-draws", "256"]
+        ci = ["--ci-level", "0.95", "--ci-full"]
+        assert main(base + ["--imax", "14"] + ci) == 4
+        err = capsys.readouterr().err
+        assert "taper orders above 12" in err and "i_max above 13" in err
+        assert main(base + ["--imax", "13"] + ci) == 0
+        assert main(base + ["--imax", "14"]) == 0
+        # the reduced preset caps the interval's taper set at i_max 4
+        assert main(base + ["--imax", "14", "--ci-level", "0.95"]) == 0
+
 
 class TestEstimate:
     def test_json_output_shape(self, pattern_csv, capsys):
@@ -213,6 +230,27 @@ class TestEstimate:
         lines = curve_path.read_text().splitlines()
         assert lines[0] == "j,C"
         assert len(lines) == 1 + 120
+
+
+class TestRescaleInvariance:
+    @given(st.sampled_from(["cloaked", "poisson", "poisson-1d"]),
+           st.integers(min_value=0, max_value=3),
+           st.floats(min_value=0.1, max_value=10.0))
+    @settings(max_examples=8, deadline=None)
+    def test_pipeline_ignores_units(self, model, seed, s):
+        # measuring a pattern and its window in other units must not move
+        # the estimate or the scale range: the pipeline normalizes to unit
+        # intensity first
+        if model == "cloaked":
+            p = cloaked_lattice(1.0, 0.25, 12.0, seed)
+        else:
+            p = poisson(1.0, 15.0, seed, d=1 if model == "poisson-1d" else 2)
+        scaled = PointPattern(s * p.points, Window(s * p.half_width), dim=p.dim)
+        a, _ = run_pipeline(p)
+        b, _ = run_pipeline(scaled)
+        assert abs(a.alpha_hat - b.alpha_hat) <= 1e-8
+        assert abs(a.diagnostics["j_min"] - b.diagnostics["j_min"]) <= 1e-8
+        assert abs(a.diagnostics["j_max"] - b.diagnostics["j_max"]) <= 1e-8
 
 
 class TestCurveCommand:

@@ -26,6 +26,25 @@ def small_cov():
     return set4, plan, sigma_transient(set4, plan.scales, 0.7, 25.0)
 
 
+def fails_cholesky(matrix):
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+@pytest.fixture(scope="module")
+def fallback_cov():
+    # the coverage command's size: reduced preset, 12 tapers x 25 scales;
+    # nearly collinear scales leave round-off negatives, so Cholesky fails
+    set4 = build_taper_set(2, 4)
+    plan = default_scale_plan(0.36, 0.96, n_scales=25)
+    cov = sigma_transient(set4, plan.scales, 0.5, 25.0)
+    assert cov.dim == 300 and fails_cholesky(cov.matrix)
+    return set4, plan, cov
+
+
 class TestSampleZ:
     def test_deterministic(self, small_cov):
         _, plan, cov = small_cov
@@ -50,6 +69,33 @@ class TestSampleZ:
             scaled = dataclasses.replace(cov, matrix=cov.matrix * c)
             got = sample_Z(scaled, plan, 2000, seed=5).values
             assert np.max(np.abs(got - base)) < 1e-10
+
+    def test_scale_invariance_per_draw_on_fallback(self, fallback_cov):
+        _, plan, cov = fallback_cov
+        base = sample_Z(cov, plan, 2000, seed=5).values
+        for c in (7.5, 1e-3, 40.0):
+            scaled = dataclasses.replace(cov, matrix=cov.matrix * c)
+            assert fails_cholesky(scaled.matrix)
+            got = sample_Z(scaled, plan, 2000, seed=5).values
+            assert np.max(np.abs(got - base)) < 1e-10
+
+    def test_fallback_matches_dense_eigen_factor(self, fallback_cov):
+        # Z through the clipped eigen factor V sqrt(lambda), drawn
+        # independently, against sample_Z; at each level p the share of the
+        # eigen draws below sample_Z's p-quantile may miss p by 4.5 standard
+        # errors of the difference of two empirical CDFs
+        _, plan, cov = fallback_cov
+        n = 20_000
+        lam, vec = np.linalg.eigh(cov.matrix)
+        factor = vec * np.sqrt(np.clip(lam, 0.0, None))
+        rng = np.random.default_rng(2024)
+        x = rng.standard_normal((n, cov.dim)) @ factor.T
+        nI = cov.dim // len(plan)
+        ref = np.log(np.sum(x.reshape(n, len(plan), nI) ** 2, axis=2)) @ plan.weights
+        got = sample_Z(cov, plan, n, seed=7)
+        for p in (0.025, 0.5, 0.975):
+            share = np.mean(ref < quantile(got, p))
+            assert abs(share - p) <= 4.5 * math.sqrt(2.0 * p * (1.0 - p) / n)
 
     def test_mean_near_zero(self, small_cov):
         # weights sum to zero, so the common log-chi-square location drops
@@ -113,15 +159,26 @@ class TestPivotQuantiles:
         outer = pivot_quantiles(set4, plan, 0.7, 25.0, 0.99, draws=4000, seed=11)
         assert outer[0] < inner[0] and inner[1] < outer[1]
 
+    def test_one_ulp_beta_moves_fallback_by_round_off(self, fallback_cov):
+        # the step moves the matrix by a few ulps; an eigen or pivoted
+        # factor's basis can jump with that, and the quantiles by Monte
+        # Carlo noise (0.11 here with the eigen factor)
+        set4, plan, _ = fallback_cov
+        beta = 0.6918
+        nudged = np.nextafter(beta, np.inf)
+        a = sigma_transient(set4, plan.scales, beta, 25.0).matrix
+        b = sigma_transient(set4, plan.scales, nudged, 25.0).matrix
+        assert not np.array_equal(a, b)
+        assert fails_cholesky(a) and fails_cholesky(b)
+        q = pivot_quantiles(set4, plan, beta, 25.0, 0.95, draws=4096, seed=3)
+        q_nudged = pivot_quantiles(set4, plan, nudged, 25.0, 0.95, draws=4096,
+                                   seed=3)
+        assert np.max(np.abs(np.subtract(q, q_nudged))) < 1e-6
+
     def test_level_validation(self, small_cov):
         set4, plan, _ = small_cov
         with pytest.raises(DomainError):
             pivot_quantiles(set4, plan, 0.7, 25.0, 1.0, draws=100)
-
-    def test_full_size_warns(self, set10):
-        plan = default_scale_plan(0.5, 0.9, n_scales=25)  # 75*25 > 1500
-        with pytest.warns(UserWarning):
-            pivot_quantiles(set10, plan, 0.0, 25.0, 0.95, draws=1, seed=0)
 
 
 def report_stub(alpha_hat, plan, R=25.0):

@@ -257,6 +257,55 @@ class TestPsdFactor:
         with pytest.raises(NotPsd):
             psd_factor(m)
 
+    def test_block_structured_rank_deficient(self):
+        # three interleaved blocks, like the parity classes of a covariance,
+        # of ranks 2, 3 and 4
+        rng = np.random.default_rng(5)
+        n, ranks = 30, (2, 3, 4)
+        label = np.arange(n) % 3
+        m = np.zeros((n, n))
+        for b, r in enumerate(ranks):
+            rows = np.flatnonzero(label == b)
+            g = rng.normal(size=(len(rows), r))
+            m[np.ix_(rows, rows)] = g @ g.T
+        f = psd_factor(m)
+        assert f.factor.shape == (n, sum(ranks))
+        assert np.abs(f.factor @ f.factor.T - m).max() <= 1e-10 * np.abs(m).max()
+        for factor in (f.factor, f.basis):
+            for col in factor.T:
+                assert len(set(label[col != 0.0])) == 1
+
+    def test_basis_gives_symmetric_square_root(self):
+        rng = np.random.default_rng(8)
+        g = rng.normal(size=(12, 5))
+        m = g @ g.T
+        f = psd_factor(m)
+        np.testing.assert_allclose(f.basis.T @ f.basis, np.eye(5), atol=1e-12)
+        root = f.factor @ f.basis.T
+        np.testing.assert_allclose(root, root.T, atol=1e-12)
+        np.testing.assert_allclose(root @ root, m, atol=1e-10 * np.abs(m).max())
+        assert np.linalg.eigvalsh(root).min() > -1e-10
+
+    @pytest.mark.parametrize("neg, raises", [(-1e-6, True), (-1e-9, False)])
+    def test_clipping_threshold_both_sides(self, neg, raises):
+        # one eigenvalue at neg times the top one, in one dense block and,
+        # split off, in a second block whose own top is far smaller: the
+        # threshold is relative to the whole matrix's largest eigenvalue
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        one = q @ np.diag([1.0, 0.5, 0.3, 0.1, 0.0, neg]) @ q.T
+        q2, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        two = np.zeros((10, 10))
+        two[:6, :6] = q @ np.diag([1.0, 0.5, 0.3, 0.1, 0.2, 0.4]) @ q.T
+        two[6:, 6:] = q2 @ np.diag([1e-3, 1e-4, 0.0, neg]) @ q2.T
+        for m in (0.5 * (one + one.T), 0.5 * (two + two.T)):
+            if raises:
+                with pytest.raises(NotPsd):
+                    psd_factor(m)
+            else:
+                f = psd_factor(m)
+                assert np.abs(f.factor @ f.factor.T - m).max() <= 1e-7
+
 
 class TestRng:
     def test_make_rng_deterministic(self):
