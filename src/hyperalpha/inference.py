@@ -9,12 +9,15 @@ the matrix drop overall constants.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from .covariance import sigma_transient
 from .errors import DomainError, ZeroTransformSum
-from .numerics import psd_factor, spawn_seed_sequences
+from .numerics import _blocks, psd_factor, spawn_seed_sequences
 
 _BLOCK_DRAWS = 4096
+# a chunk of normals holds at most this many (16 MiB), or a single row
+_CHUNK_NORMALS = 2**21
 
 DEFAULT_CI_DRAWS = 20000
 
@@ -49,27 +52,51 @@ class ConfidenceInterval:
         return self.lo <= alpha <= self.hi
 
 
+def _block_maps(matrix):
+    """(rows, factor, basis) per block of the matrix's exact-nonzero pattern.
+
+    Plain Cholesky per block, basis None, when every block is positive
+    definite; psd_factor's blocks otherwise.
+    """
+    maps = []
+    for rows in _blocks(matrix != 0.0):
+        factor, info = dpotrf(matrix[np.ix_(rows, rows)], lower=1, overwrite_a=1)
+        if info != 0:
+            return psd_factor(matrix).blocks
+        maps.append((rows, factor, None))
+    return maps
+
+
 def sample_Z(cov, plan, count, seed):
     """Draw the pivot Z = sum_j w_j log(sum_i N(i,j)^2), N ~ N(0, cov).
 
     Draws happen in fixed blocks of 4096 with independently spawned child
     seeds, so results for a given (seed, count) are reproducible and a
     longer run extends a shorter one. Every draw takes cov.dim standard
-    normals z.
+    normals z, in the matrix's coordinate order. Each 4096-draw run of
+    normals is generated in chunks of 4096 rows, halved while a chunk
+    holds more than 2^21 normals (512 rows at dimension 3750); the
+    generator fills row by row, so chunking does not change them.
 
-    N = L z with the Cholesky factor L whenever the matrix is positive
-    definite: Cholesky commutes with scalar rescaling up to rounding, which
-    is what makes Z draws invariant under a common factor on the
-    covariance. A matrix that fails it (round-off negatives at the full
-    preset) falls back to psd_factor: N = L (Q^T z), the symmetric square
-    root of the clipped matrix applied to z. An eigen or pivoted factor
-    alone rotates or reorders with round-off in the matrix, and every draw
-    with it; the square root is continuous in the matrix, so a one-ulp
-    change of the exponent moves the quantiles by about 1e-7 instead of
-    by Monte Carlo noise. The Cholesky attempt stays although psd_factor
-    handles every matrix: it costs about 0.4 s at dimension 3750, but it
-    keeps the draws of a positive-definite covariance, and the number of
-    psd_factor calls the benchmark records, unchanged.
+    The matrix splits into blocks, the connected components of its
+    exact-nonzero pattern (the taper parity classes), and each draw is
+    mapped one block at a time: the block's coordinates z_b through the
+    block's own factor, their squares added to the per-scale chi-square
+    sums. N_b = L_b z_b with the Cholesky factor L_b when every block is
+    positive definite, which is exactly when Cholesky of the whole matrix
+    succeeds: Cholesky commutes with scalar rescaling up to rounding,
+    which is what makes Z draws invariant under a common factor on the
+    covariance. A block that fails it (round-off negatives at the full
+    preset) sends every block to psd_factor: N_b = L_b (Q_b^T z_b), the
+    symmetric square root of the clipped block applied to its normals.
+    An eigen or pivoted factor alone rotates or reorders with round-off
+    in the matrix, and every draw with it; the square root is continuous
+    in the matrix, so a one-ulp change of the exponent moves the
+    quantiles by about 1e-7 instead of by Monte Carlo noise. The Cholesky
+    attempt comes first although psd_factor handles every matrix: on the
+    three blocks of a d=2 matrix it costs a ninth of a whole-matrix
+    attempt, and it keeps the draws of a positive-definite covariance, and the
+    number of psd_factor calls the benchmark records, unchanged.
     """
     if count < 1:
         raise DomainError("need at least one draw")
@@ -77,28 +104,35 @@ def sample_Z(cov, plan, count, seed):
     nI = cov.dim // nJ
     if nI * nJ != cov.dim:
         raise DomainError("plan length does not divide the covariance dimension")
-    try:
-        L, basis = np.linalg.cholesky(cov.matrix), None
-    except np.linalg.LinAlgError:
-        fallback = psd_factor(cov.matrix)
-        L, basis = fallback.factor, fallback.basis
+    maps = []
+    for rows, factor, basis in _block_maps(cov.matrix):
+        to_scale = np.zeros((len(rows), nJ))
+        to_scale[np.arange(len(rows)), rows // nI] = 1.0
+        maps.append((rows, factor, basis, to_scale))
+    chunk = _BLOCK_DRAWS
+    while chunk > 1 and chunk * cov.dim > _CHUNK_NORMALS:
+        chunk //= 2
     w = plan.weights
-    n_blocks = -(-count // _BLOCK_DRAWS)
-    children = spawn_seed_sequences(seed, n_blocks)
+    children = spawn_seed_sequences(seed, -(-count // _BLOCK_DRAWS))
     out = np.empty(count)
     done = 0
     for child in children:
-        take = min(_BLOCK_DRAWS, count - done)
         rng = np.random.Generator(np.random.Philox(child))
-        z = rng.standard_normal((_BLOCK_DRAWS, cov.dim))
-        if basis is not None:
-            z = z @ basis
-        x = z @ L.T
-        chi = np.sum(x.reshape(_BLOCK_DRAWS, nJ, nI) ** 2, axis=2)
-        if np.any(chi == 0.0):
-            raise ZeroTransformSum("a chi-square block vanished (degenerate covariance)")
-        out[done:done + take] = (np.log(chi) @ w)[:take]
-        done += take
+        stop = min(done + _BLOCK_DRAWS, count)
+        while done < stop:
+            take = min(chunk, stop - done)
+            z = rng.standard_normal((take, cov.dim))
+            chi = np.zeros((take, nJ))
+            for rows, factor, basis, to_scale in maps:
+                x = np.take(z, rows, axis=1)
+                if basis is not None:
+                    x = x @ basis
+                x = x @ factor.T
+                chi += (x * x) @ to_scale
+            if np.any(chi == 0.0):
+                raise ZeroTransformSum("a chi-square block vanished (degenerate covariance)")
+            out[done:done + take] = np.log(chi) @ w
+            done += take
     return ZSample(values=out, beta=cov.beta, R=cov.R, seed=int(seed))
 
 

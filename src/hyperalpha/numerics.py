@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import qr
 from scipy.linalg.lapack import dpotrf, dpstrf
 from scipy.special import polygamma
 
@@ -255,18 +256,19 @@ def quad_radial(integrand, d, tol=1e-9, max_rounds=9):
 
 @dataclass(frozen=True)
 class PsdFactor:
-    """Rank-revealing factor of a clipped symmetric matrix.
+    """Rank-revealing factor of a clipped symmetric matrix, one block at a time.
 
-    factor is an n x r matrix L with M_clipped = L @ L.T, r the numerical
-    rank. basis is an n x r matrix Q with orthonormal columns spanning the
-    same range, chosen so that L @ Q.T is the symmetric square root of
-    M_clipped. Each column of either is supported on one block of the
-    matrix's exact-nonzero pattern.
+    blocks holds one (rows, factor, basis) triple per connected component
+    of the matrix's exact-nonzero pattern, rows being the component's
+    indices into the matrix. factor is a len(rows) x r matrix L with
+    M_clipped[rows][:, rows] = L @ L.T, r the block's numerical rank.
+    basis is a len(rows) x r matrix Q with orthonormal columns spanning the
+    same range, chosen so that L @ Q.T is the symmetric square root of that
+    block. Every entry of M_clipped outside the blocks is zero.
     """
 
     dimension: int
-    factor: np.ndarray
-    basis: np.ndarray
+    blocks: tuple
 
 
 _PSD_CLIP_REL = 1e-8
@@ -317,7 +319,9 @@ def psd_factor(M):
     variance is the same at every scale), so the factor jumps under tiny
     changes of M. factor @ basis.T does not: per block the basis is the
     polar factor U V^T of the factor U S V^T, and the product U S U^T is
-    the symmetric square root of the clipped matrix.
+    the symmetric square root of the clipped block. The polar factor comes
+    from a thin QR of the factor, L = Q T, and the SVD of the r x r
+    triangle T = U' S V^T: U = Q U'.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -336,9 +340,10 @@ def psd_factor(M):
         L = np.zeros((len(rows), rank))
         # dpstrf leaves the strict upper triangle as it found it
         L[piv - 1] = np.tril(c[:, :rank])
-        U, sv, Vt = np.linalg.svd(L, full_matrices=False)
+        Q, T = qr(L, mode="economic")
+        U, sv, Vt = np.linalg.svd(T)
         top = max(top, float(sv[0]) ** 2 if rank else 0.0)
-        parts.append((rows, block, L, U @ Vt))
+        parts.append((rows, block, L, Q @ (U @ Vt)))
     shift = _PSD_CLIP_REL * top
     for _, block, _, _ in parts:
         if not block.any():
@@ -349,14 +354,8 @@ def psd_factor(M):
                 f"matrix has an eigenvalue below the clipping floor {-shift:.3e} "
                 f"(-{_PSD_CLIP_REL:g} x the largest eigenvalue, {top:.3e})"
             )
-    n, r = M.shape[0], sum(part[2].shape[1] for part in parts)
-    factor, basis = np.zeros((n, r)), np.zeros((n, r))
-    col = 0
-    for rows, _, L, Q in parts:
-        factor[rows, col:col + L.shape[1]] = L
-        basis[rows, col:col + L.shape[1]] = Q
-        col += L.shape[1]
-    return PsdFactor(dimension=n, factor=factor, basis=basis)
+    return PsdFactor(dimension=M.shape[0],
+                     blocks=tuple((rows, L, Q) for rows, _, L, Q in parts))
 
 
 def make_rng(seed):

@@ -1,9 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hyperalpha import inference
+from hyperalpha.cli import run_pipeline
 from hyperalpha.covariance import sigma_asymptotic, sigma_transient
 from hyperalpha.errors import DomainError
 from hyperalpha.estimator import EstimateReport, default_scale_plan
@@ -15,7 +18,8 @@ from hyperalpha.inference import (
     quantile,
     sample_Z,
 )
-from hyperalpha.numerics import trigamma
+from hyperalpha.numerics import psd_factor, spawn_seed_sequences, trigamma
+from hyperalpha.simulate import cloaked_lattice
 from hyperalpha.tapers import build_taper_set
 
 
@@ -45,7 +49,104 @@ def fallback_cov():
     return set4, plan, cov
 
 
+def dense_Z(cov, plan, count, seed, root):
+    """Z through a dense n x n map N = root @ z, from sample_Z's normals.
+
+    Each 4096-draw child seed fills one (4096, n) array at once, in the
+    matrix's coordinate order, and the chi-square sums run over the
+    (scale, taper) layout of the whole vector.
+    """
+    nJ, out = len(plan), []
+    for child in spawn_seed_sequences(seed, -(-count // 4096)):
+        z = np.random.Generator(np.random.Philox(child)).standard_normal(
+            (4096, cov.dim))
+        x = z @ root.T
+        chi = np.sum(x.reshape(4096, nJ, cov.dim // nJ) ** 2, axis=2)
+        out.append(np.log(chi) @ plan.weights)
+    return np.concatenate(out)[:count]
+
+
+def dense_root(cov):
+    """The symmetric square root of the clipped matrix, from psd_factor's blocks."""
+    root = np.zeros((cov.dim, cov.dim))
+    for rows, factor, basis in psd_factor(cov.matrix).blocks:
+        root[np.ix_(rows, rows)] = factor @ basis.T
+    return root
+
+
+@pytest.fixture(scope="module")
+def asymptotic_cov():
+    # 3 |J| blocks of 4 (parity class x scale); dimension 600 draws its
+    # normals in two 2048-row chunks per child seed
+    set4 = build_taper_set(2, 4)
+    plan = default_scale_plan(0.5, 0.9, n_scales=50)
+    cov = sigma_asymptotic(set4, plan.scales, 0.7)
+    assert cov.dim == 600 and not fails_cholesky(cov.matrix)
+    return set4, plan, cov
+
+
 class TestSampleZ:
+    @pytest.mark.parametrize("case", ["small_cov", "fallback_cov", "asymptotic_cov"])
+    def test_matches_dense_reference(self, case, request):
+        # one block at a time and chunked against one dense map of the same
+        # normals: whole-matrix Cholesky where it succeeds, the densified
+        # square root where it fails. A Cholesky factor's round-off grows
+        # with the condition number (4e6 for small_cov, where numpy's
+        # Cholesky of one extracted block and of the whole matrix differ by
+        # 5e-12), so that bound is 1e-12 or eps x cond, whichever is larger
+        _, plan, cov = request.getfixturevalue(case)
+        if fails_cholesky(cov.matrix):
+            root, rel = dense_root(cov), 1e-12
+        else:
+            root = np.linalg.cholesky(cov.matrix)
+            rel = max(1e-12, np.finfo(float).eps * np.linalg.cond(cov.matrix))
+        ref = dense_Z(cov, plan, 5000, 17, root)
+        got = sample_Z(cov, plan, 5000, seed=17).values
+        assert np.max(np.abs(got - ref)) <= rel * np.abs(ref).max()
+
+    def test_psd_factor_called_exactly_when_cholesky_fails(self, small_cov,
+                                                            fallback_cov,
+                                                            monkeypatch):
+        calls, covs = [], []
+
+        def counted(matrix):
+            calls.append(1)
+            return psd_factor(matrix)
+
+        def captured(*args):
+            covs.append(sigma_transient(*args))
+            return covs[-1]
+
+        monkeypatch.setattr(inference, "psd_factor", counted)
+        monkeypatch.setattr(inference, "sigma_transient", captured)
+        for _, plan, cov in (small_cov, fallback_cov):
+            del calls[:]
+            sample_Z(cov, plan, 300, seed=0)
+            assert len(calls) == fails_cholesky(cov.matrix)
+        assert fails_cholesky(fallback_cov[2].matrix)
+        # the benchmark's interval smoke call: cloaked R 12, i_max 4,
+        # 8 scales, full preset
+        del calls[:]
+        run_pipeline(cloaked_lattice(1.0, 0.25, 12.0, 1), i_max=4, n_scales=8,
+                     ci_level=0.95, ci_draws=256, ci_full=True)
+        assert len(covs) == 1 and not fails_cholesky(covs[0].matrix)
+        assert calls == []
+
+    def test_peak_memory_full_preset(self):
+        # the benchmark's interval covariance (dimension 3750, Cholesky
+        # fails); one 4096-draw block once held three 4096 x 3750 arrays
+        set10 = build_taper_set(2, 10)
+        plan = default_scale_plan(0.73, 0.9692886836023428, 50)
+        cov = sigma_transient(set10, plan.scales, 1.130756822160043,
+                              40.049968789001575)
+        tracemalloc.start()
+        try:
+            sample_Z(cov, plan, 4096, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 150e6
+
     def test_deterministic(self, small_cov):
         _, plan, cov = small_cov
         a = sample_Z(cov, plan, 500, seed=3)

@@ -239,18 +239,29 @@ class TestQuadRadial:
         assert not x.flags.writeable
 
 
+def dense(f):
+    """(factor, basis) of a PsdFactor as n x r arrays, block after block."""
+    n, r = f.dimension, sum(factor.shape[1] for _, factor, _ in f.blocks)
+    factor, basis, col = np.zeros((n, r)), np.zeros((n, r)), 0
+    for rows, L, Q in f.blocks:
+        factor[rows, col:col + L.shape[1]] = L
+        basis[rows, col:col + L.shape[1]] = Q
+        col += L.shape[1]
+    return factor, basis
+
+
 class TestPsdFactor:
     def test_reconstructs(self):
         rng = np.random.default_rng(11)
         a = rng.normal(size=(6, 6))
         m = a @ a.T
-        f = psd_factor(m)
-        np.testing.assert_allclose(f.factor @ f.factor.T, m, atol=1e-10)
+        factor, _ = dense(psd_factor(m))
+        np.testing.assert_allclose(factor @ factor.T, m, atol=1e-10)
 
     def test_semidefinite_ok(self):
         v = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank 1
-        f = psd_factor(v)
-        np.testing.assert_allclose(f.factor @ f.factor.T, v, atol=1e-12)
+        factor, _ = dense(psd_factor(v))
+        np.testing.assert_allclose(factor @ factor.T, v, atol=1e-12)
 
     def test_rejects_indefinite(self):
         m = np.array([[1.0, 0.0], [0.0, -0.5]])
@@ -268,20 +279,20 @@ class TestPsdFactor:
             rows = np.flatnonzero(label == b)
             g = rng.normal(size=(len(rows), r))
             m[np.ix_(rows, rows)] = g @ g.T
-        f = psd_factor(m)
-        assert f.factor.shape == (n, sum(ranks))
-        assert np.abs(f.factor @ f.factor.T - m).max() <= 1e-10 * np.abs(m).max()
-        for factor in (f.factor, f.basis):
-            for col in factor.T:
+        factor, basis = dense(psd_factor(m))
+        assert factor.shape == (n, sum(ranks))
+        assert np.abs(factor @ factor.T - m).max() <= 1e-10 * np.abs(m).max()
+        for cols in (factor, basis):
+            for col in cols.T:
                 assert len(set(label[col != 0.0])) == 1
 
     def test_basis_gives_symmetric_square_root(self):
         rng = np.random.default_rng(8)
         g = rng.normal(size=(12, 5))
         m = g @ g.T
-        f = psd_factor(m)
-        np.testing.assert_allclose(f.basis.T @ f.basis, np.eye(5), atol=1e-12)
-        root = f.factor @ f.basis.T
+        factor, basis = dense(psd_factor(m))
+        np.testing.assert_allclose(basis.T @ basis, np.eye(5), atol=1e-12)
+        root = factor @ basis.T
         np.testing.assert_allclose(root, root.T, atol=1e-12)
         np.testing.assert_allclose(root @ root, m, atol=1e-10 * np.abs(m).max())
         assert np.linalg.eigvalsh(root).min() > -1e-10
@@ -303,8 +314,8 @@ class TestPsdFactor:
                 with pytest.raises(NotPsd):
                     psd_factor(m)
             else:
-                f = psd_factor(m)
-                assert np.abs(f.factor @ f.factor.T - m).max() <= 1e-7
+                factor, _ = dense(psd_factor(m))
+                assert np.abs(factor @ factor.T - m).max() <= 1e-7
 
 
 class TestRng:
