@@ -21,9 +21,8 @@ from .geometry import (NormalizationRecord, PointPattern, Window,
                        estimate_intensity, normalize_intensity)
 from .inference import (ConfidenceInterval, ZSample, confidence_interval,
                         pivot_quantiles, quantile, sample_Z)
-from .numerics import (PsdFactor, SignedLogValue, angular_moment,
-                       hermite_coeffs, make_rng, psd_factor, quad_radial,
-                       signed_logsumexp, trigamma)
+from .numerics import (PsdFactor, angular_moment, hermite_coeffs, make_rng,
+                       psd_factor, quad_radial, trigamma)
 from .simulate import (cloaked_lattice, matched_process, one_sided_stable,
                        poisson, rsa)
 from .tapers import (TaperSet, build_taper_set, hermite_function_values,
@@ -44,8 +43,8 @@ __all__ = [
     "normalize_intensity",
     "ConfidenceInterval", "ZSample", "confidence_interval", "pivot_quantiles",
     "quantile", "sample_Z",
-    "PsdFactor", "SignedLogValue", "angular_moment", "hermite_coeffs",
-    "make_rng", "psd_factor", "quad_radial", "signed_logsumexp", "trigamma",
+    "PsdFactor", "angular_moment", "hermite_coeffs", "make_rng",
+    "psd_factor", "quad_radial", "trigamma",
     "cloaked_lattice", "matched_process", "one_sided_stable", "poisson", "rsa",
     "TaperSet", "build_taper_set", "hermite_function_values",
     "numerical_support", "taper_eval",

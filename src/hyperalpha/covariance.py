@@ -37,7 +37,7 @@ from scipy.linalg import block_diag
 from scipy.special import gamma
 
 from .errors import DomainError, Overflow
-from .numerics import hermite_coeff_arrays
+from .numerics import hermite_coeffs
 
 # The degree sums cancel as the taper order grows: the beta = 0 unit diagonal
 # at R = 30 is off by 1.1e-8 with orders up to 11, 2.0e-8 up to 12, 2.0e-6
@@ -64,8 +64,7 @@ def _degree_tables(i1s, i2s):
     N = int(max(i1s.max(), i2s.max())) + 1
     coef = np.zeros((N, N))
     for n in range(N):
-        s, lm = hermite_coeff_arrays(n)
-        coef[n, :n + 1] = s * np.exp(lm)
+        coef[n, :n + 1] = hermite_coeffs(n)
     ab = np.add.outer(np.arange(N), np.arange(N))
     axis_gamma = np.where(ab % 2 == 0, gamma((ab + 1) / 2.0), 0.0)
     D = np.ones((P, 1, 1))

@@ -62,6 +62,8 @@ def _block_maps(matrix):
     for rows in _blocks(matrix != 0.0):
         factor, info = dpotrf(matrix[np.ix_(rows, rows)], lower=1, overwrite_a=1)
         if info != 0:
+            # free the attempt's factors before psd_factor's eigh buffers
+            del maps, factor
             return psd_factor(matrix).blocks
         maps.append((rows, factor, None))
     return maps
@@ -87,16 +89,17 @@ def sample_Z(cov, plan, count, seed):
     succeeds: Cholesky commutes with scalar rescaling up to rounding,
     which is what makes Z draws invariant under a common factor on the
     covariance. A block that fails it (round-off negatives at the full
-    preset) sends every block to psd_factor: N_b = L_b (Q_b^T z_b), the
-    symmetric square root of the clipped block applied to its normals.
-    An eigen or pivoted factor alone rotates or reorders with round-off
-    in the matrix, and every draw with it; the square root is continuous
-    in the matrix, so a one-ulp change of the exponent moves the
-    quantiles by about 1e-7 instead of by Monte Carlo noise. The Cholesky
-    attempt comes first although psd_factor handles every matrix: on the
-    three blocks of a d=2 matrix it costs a ninth of a whole-matrix
-    attempt, and it keeps the draws of a positive-definite covariance, and the
-    number of psd_factor calls the benchmark records, unchanged.
+    preset) sends every block to psd_factor: N_b = F_b (V_b^T z_b), the
+    eigen-truncated symmetric square root of the block applied to its
+    normals. An eigenvector basis alone rotates with round-off in the
+    matrix, and every draw with it; the square root moves only as much as
+    the matrix does while no eigenvalue crosses the clipping level, so a
+    common factor or a one-ulp change of the exponent moves the draws by
+    round-off. The Cholesky attempt comes first although psd_factor
+    handles every matrix: on the three blocks of a d=2 matrix it costs a
+    ninth of a whole-matrix attempt, and it keeps the draws of a
+    positive-definite covariance, and the number of psd_factor calls the
+    benchmark records, unchanged.
     """
     if count < 1:
         raise DomainError("need at least one draw")

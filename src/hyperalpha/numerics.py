@@ -1,64 +1,21 @@
-"""Special functions, signed log-space arithmetic, quadrature, PSD factors, RNG.
+"""Special functions, quadrature, the PSD factor, RNG.
 
-Everything here is deterministic and pure. Hermite coefficients are
-built and stored as signed logs (sign, log magnitude).
+Everything here is deterministic and pure. Hermite coefficients come
+from their explicit sum in exact integer arithmetic and are rounded to
+float only at the end, as the square root of an exact rational times
+pi^(-1/4).
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial, pi, sqrt
 
 import numpy as np
-from scipy.linalg import qr
-from scipy.linalg.lapack import dpotrf, dpstrf
 from scipy.special import polygamma
 
 from .errors import DomainError, NoConvergence, NotPsd, Overflow
 
-_MACHINE_EPS = float(np.finfo(np.float64).eps)
-
-
-@dataclass(frozen=True)
-class SignedLogValue:
-    """A real number stored as sign and log magnitude.
-
-    sign is -1, 0, or +1; sign 0 means the value is exactly zero and
-    log_magnitude is ignored.
-    """
-
-    sign: int
-    log_magnitude: float
-
-    @classmethod
-    def from_float(cls, x):
-        x = float(x)
-        if x == 0.0:
-            return cls(0, -np.inf)
-        return cls(1 if x > 0 else -1, float(np.log(abs(x))))
-
-    def __float__(self):
-        if self.sign == 0:
-            return 0.0
-        return self.sign * float(np.exp(self.log_magnitude))
-
-
-def signed_logsumexp(signs, logmags, axis=None):
-    """Signed log-sum-exp: returns (sign, log|sum|) of sum(signs * exp(logmags)).
-
-    Works on arrays; reduces over `axis` (all elements when None). Entries
-    with sign 0 are ignored regardless of their log magnitude.
-    """
-    signs = np.asarray(signs, dtype=np.float64)
-    logmags = np.where(signs == 0, -np.inf, np.asarray(logmags, dtype=np.float64))
-    m = np.max(logmags, axis=axis, keepdims=True)
-    m_safe = np.where(np.isfinite(m), m, 0.0)
-    total = np.sum(signs * np.exp(logmags - m_safe), axis=axis)
-    m_red = np.squeeze(m_safe, axis=axis) if axis is not None else m_safe.item()
-    with np.errstate(divide="ignore"):
-        out_log = np.where(total != 0.0, np.log(np.abs(np.where(total != 0.0, total, 1.0))) + m_red, -np.inf)
-    out_sign = np.sign(total)
-    if np.ndim(out_sign) == 0:
-        return float(out_sign), float(out_log)
-    return out_sign, out_log
+_PI_QUARTER_INV = pi ** -0.25
 
 
 def trigamma(m):
@@ -97,66 +54,26 @@ _HERMITE_MAX_ORDER = 64
 
 
 @lru_cache(maxsize=None)
-def _hermite_coeff_table(n):
-    """(signs, logmags) arrays of monomial coefficients of normalized H_n."""
-    if n == 0:
-        signs = np.array([1], dtype=np.int8)
-        logs = np.array([-0.25 * np.log(np.pi)])
-        return signs, logs
-    if n == 1:
-        signs = np.array([0, 1], dtype=np.int8)
-        logs = np.array([-np.inf, 0.5 * np.log(2.0) - 0.25 * np.log(np.pi)])
-        return signs, logs
-    sp, lp = _hermite_coeff_table(n - 1)
-    spp, lpp = _hermite_coeff_table(n - 2)
-    signs = np.zeros(n + 1, dtype=np.int8)
-    logs = np.full(n + 1, -np.inf)
-    la = 0.5 * (np.log(2.0) - np.log(n))  # log sqrt(2/n)
-    lb = 0.5 * (np.log(n - 1) - np.log(n))  # log sqrt((n-1)/n)
-    for m in range(n + 1):
-        # contribution sqrt(2/n) * c_{n-1, m-1}  minus  sqrt((n-1)/n) * c_{n-2, m}
-        terms_s = []
-        terms_l = []
-        if m >= 1 and sp[m - 1] != 0:
-            terms_s.append(int(sp[m - 1]))
-            terms_l.append(la + lp[m - 1])
-        if m <= n - 2 and spp[m] != 0:
-            terms_s.append(-int(spp[m]))
-            terms_l.append(lb + lpp[m])
-        if not terms_s:
-            continue
-        if len(terms_s) == 1:
-            signs[m] = terms_s[0]
-            logs[m] = terms_l[0]
-        else:
-            # same-parity contributions always share a sign, so this
-            # addition never cancels
-            s, lm = signed_logsumexp(np.array(terms_s, float), np.array(terms_l))
-            signs[m] = int(s)
-            logs[m] = lm
-    return signs, logs
-
-
 def hermite_coeffs(n):
     """Monomial coefficients of the L2-normalized Hermite polynomial H_n.
 
-    Returns a list of n+1 SignedLogValue, degree 0 to n. Coefficients of
-    degree m with m and n of opposite parity are exactly zero.
+    Returns n+1 floats, degree 0 to n. Coefficients of degree m with m and
+    n of opposite parity are exactly zero.
     """
     if n < 0:
         raise DomainError("hermite_coeffs requires n >= 0")
     if n > _HERMITE_MAX_ORDER:
         raise Overflow(f"hermite_coeffs supports orders <= {_HERMITE_MAX_ORDER}")
-    signs, logs = _hermite_coeff_table(int(n))
-    return [SignedLogValue(int(s), float(l)) for s, l in zip(signs, logs)]
-
-
-def hermite_coeff_arrays(n):
-    """(signs, logmags) numpy view of hermite_coeffs, for vectorized assembly."""
-    if n > _HERMITE_MAX_ORDER:
-        raise Overflow(f"hermite_coeffs supports orders <= {_HERMITE_MAX_ORDER}")
-    signs, logs = _hermite_coeff_table(int(n))
-    return signs.copy(), logs.copy()
+    # H_n(y) = n! sum_k (-1)^k (2y)^(n-2k) / (k! (n-2k)!) over 2k <= n; the
+    # normalization sqrt(2^n n! sqrt(pi)) leaves a rational under one square
+    # root, times pi^(-1/4); integer true division rounds it correctly
+    norm = 2 ** n * factorial(n)
+    coeffs = [0.0] * (n + 1)
+    for k in range(n // 2 + 1):
+        m = n - 2 * k
+        a = factorial(n) // (factorial(k) * factorial(m)) * 2 ** m
+        coeffs[m] = (-1) ** k * sqrt(a * a / norm) * _PI_QUARTER_INV
+    return tuple(coeffs)
 
 
 def _probe_extent(f, d, directions, r_lo=1e-3, r_hi=200.0, n=240):
@@ -256,15 +173,15 @@ def quad_radial(integrand, d, tol=1e-9, max_rounds=9):
 
 @dataclass(frozen=True)
 class PsdFactor:
-    """Rank-revealing factor of a clipped symmetric matrix, one block at a time.
+    """Eigen-truncated square root of a symmetric matrix, one block at a time.
 
     blocks holds one (rows, factor, basis) triple per connected component
     of the matrix's exact-nonzero pattern, rows being the component's
-    indices into the matrix. factor is a len(rows) x r matrix L with
-    M_clipped[rows][:, rows] = L @ L.T, r the block's numerical rank.
-    basis is a len(rows) x r matrix Q with orthonormal columns spanning the
-    same range, chosen so that L @ Q.T is the symmetric square root of that
-    block. Every entry of M_clipped outside the blocks is zero.
+    indices into the matrix. basis is a len(rows) x r matrix V of the
+    block's orthonormal eigenvectors whose eigenvalues lie above the
+    clipping level, and factor = V sqrt(lambda), so M_clipped[rows][:, rows]
+    = factor @ factor.T and factor @ basis.T is its symmetric square root.
+    Every entry of M_clipped outside the blocks is zero.
     """
 
     dimension: int
@@ -272,6 +189,8 @@ class PsdFactor:
 
 
 _PSD_CLIP_REL = 1e-8
+# side of the square tiles the symmetry check compares (512 KiB each)
+_SYM_TILE = 256
 
 
 def _blocks(nonzero):
@@ -297,65 +216,56 @@ def _blocks(nonzero):
     return blocks
 
 
+def _is_symmetric(M):
+    """Whether the square matrix M equals its transpose exactly.
+
+    Compares M[a, b] with M[b, a].T one pair of square tiles at a time, so
+    both reads stay within cache-sized pieces of M.
+    """
+    n, t = len(M), _SYM_TILE
+    return all(np.array_equal(M[i:i + t, j:j + t], M[j:j + t, i:i + t].T)
+               for i in range(0, n, t) for j in range(i, n, t))
+
+
 def psd_factor(M):
-    """Rank-revealing factor of a symmetric matrix, clipping round-off negatives.
+    """Eigen-truncated symmetric square root of M, clipping round-off negatives.
 
-    The matrix splits into the connected components of its exact-nonzero
-    pattern (for a transform covariance, its taper parity classes). Each
-    block gets LAPACK's pivoted Cholesky (dpstrf), stopped once every
-    remaining Schur complement diagonal is at most 1e-8 times the largest
-    diagonal entry of M. LAPACK's default tolerance, n * eps times that
-    entry, keeps columns that are mostly round-off: sampling through them
-    is then invariant under a common factor on M only to 1e-7, not 1e-12.
-
-    Eigenvalues below -1e-8 times the largest eigenvalue raise NotPsd;
-    anything above that and below the stopping level is treated as zero.
-    The largest eigenvalue is the largest squared singular value of a
-    block's factor. A nonzero block passes when plain Cholesky succeeds
-    after adding 1e-8 times that eigenvalue to its diagonal; the spectrum
-    of M is the union of its blocks' spectra.
-
-    Pivot order and rank follow round-off where diagonals tie (a taper's
-    variance is the same at every scale), so the factor jumps under tiny
-    changes of M. factor @ basis.T does not: per block the basis is the
-    polar factor U V^T of the factor U S V^T, and the product U S U^T is
-    the symmetric square root of the clipped block. The polar factor comes
-    from a thin QR of the factor, L = Q T, and the SVD of the r x r
-    triangle T = U' S V^T: U = Q U'.
+    M must be symmetric: exactly, or to 1e-12 times max(1, max |M|), in
+    which case its symmetric part is used. The matrix splits into the
+    connected components of its exact-nonzero pattern (for a transform
+    covariance, its taper parity classes), and each block gets one
+    symmetric eigendecomposition. Eigenvalues below -1e-8 times the
+    largest eigenvalue of M raise NotPsd; the eigenpairs above +1e-8 times
+    it are kept and the rest are treated as zero, so each block's root
+    changes with M as smoothly as its retained eigenspace does.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DomainError("psd_factor requires a square matrix")
-    if np.array_equal(M, M.T):
+    if _is_symmetric(M):
         sym = M
     elif np.allclose(M, M.T, rtol=0, atol=1e-12 * max(1.0, np.abs(M).max())):
         sym = 0.5 * (M + M.T)
     else:
         raise DomainError("psd_factor requires a symmetric matrix")
-    tol = _PSD_CLIP_REL * max(np.diag(sym).max(initial=0.0), 0.0)
-    parts, top = [], 0.0
-    for rows in _blocks(sym != 0.0):
-        block = sym[np.ix_(rows, rows)]
-        c, piv, rank, _ = dpstrf(block, lower=1, tol=tol)
-        L = np.zeros((len(rows), rank))
-        # dpstrf leaves the strict upper triangle as it found it
-        L[piv - 1] = np.tril(c[:, :rank])
-        Q, T = qr(L, mode="economic")
-        U, sv, Vt = np.linalg.svd(T)
-        top = max(top, float(sv[0]) ** 2 if rank else 0.0)
-        parts.append((rows, block, L, Q @ (U @ Vt)))
-    shift = _PSD_CLIP_REL * top
-    for _, block, _, _ in parts:
-        if not block.any():
-            continue
-        block.flat[::len(block) + 1] += shift
-        if dpotrf(block, lower=1, clean=0, overwrite_a=1)[1] != 0:
-            raise NotPsd(
-                f"matrix has an eigenvalue below the clipping floor {-shift:.3e} "
-                f"(-{_PSD_CLIP_REL:g} x the largest eigenvalue, {top:.3e})"
-            )
-    return PsdFactor(dimension=M.shape[0],
-                     blocks=tuple((rows, L, Q) for rows, _, L, Q in parts))
+    # numpy's eigh is LAPACK dsyevd, as scipy's driver="evd"; scipy's runs
+    # on scipy's own BLAS threads, which keep spinning after the call and
+    # halved the speed of the sampling products that follow
+    parts = [(rows, *np.linalg.eigh(sym[np.ix_(rows, rows)]))
+             for rows in _blocks(sym != 0.0)]
+    top = max((lam[-1] for _, lam, _ in parts), default=0.0)
+    low = min((lam[0] for _, lam, _ in parts), default=0.0)
+    floor = _PSD_CLIP_REL * top
+    if low < -floor:
+        raise NotPsd(
+            f"matrix has an eigenvalue {low:.3e} below the clipping floor "
+            f"{-floor:.3e} (-{_PSD_CLIP_REL:g} x the largest eigenvalue, {top:.3e})"
+        )
+    blocks = []
+    for rows, lam, vec in parts:
+        keep = lam > floor
+        blocks.append((rows, vec[:, keep] * np.sqrt(lam[keep]), vec[:, keep]))
+    return PsdFactor(dimension=M.shape[0], blocks=tuple(blocks))
 
 
 def make_rng(seed):

@@ -66,10 +66,10 @@ def dense_Z(cov, plan, count, seed, root):
     return np.concatenate(out)[:count]
 
 
-def dense_root(cov):
+def dense_root(matrix):
     """The symmetric square root of the clipped matrix, from psd_factor's blocks."""
-    root = np.zeros((cov.dim, cov.dim))
-    for rows, factor, basis in psd_factor(cov.matrix).blocks:
+    root = np.zeros(matrix.shape)
+    for rows, factor, basis in psd_factor(matrix).blocks:
         root[np.ix_(rows, rows)] = factor @ basis.T
     return root
 
@@ -96,7 +96,7 @@ class TestSampleZ:
         # 5e-12), so that bound is 1e-12 or eps x cond, whichever is larger
         _, plan, cov = request.getfixturevalue(case)
         if fails_cholesky(cov.matrix):
-            root, rel = dense_root(cov), 1e-12
+            root, rel = dense_root(cov.matrix), 1e-12
         else:
             root = np.linalg.cholesky(cov.matrix)
             rel = max(1e-12, np.finfo(float).eps * np.linalg.cond(cov.matrix))
@@ -179,6 +179,17 @@ class TestSampleZ:
             assert fails_cholesky(scaled.matrix)
             got = sample_Z(scaled, plan, 2000, seed=5).values
             assert np.max(np.abs(got - base)) < 1e-10
+
+    def test_fallback_root_continuous_in_matrix(self, fallback_cov):
+        # a relative perturbation of 1e-15 per entry, symmetric and with
+        # the same zero pattern, may move the square root by round-off only;
+        # a pivoted-Cholesky root moved by 1.7e-5 of max |root| here
+        _, _, cov = fallback_cov
+        e = np.random.default_rng(0).standard_normal(cov.matrix.shape)
+        e = 0.5 * (e + e.T)
+        root = dense_root(cov.matrix)
+        moved = dense_root(cov.matrix * (1.0 + 1e-15 * e))
+        assert np.max(np.abs(moved - root)) <= 1e-9 * np.abs(root).max()
 
     def test_fallback_matches_dense_eigen_factor(self, fallback_cov):
         # Z through the clipped eigen factor V sqrt(lambda), drawn

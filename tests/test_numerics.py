@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -8,14 +9,11 @@ from hypothesis import strategies as st
 from hyperalpha import numerics
 from hyperalpha.errors import DomainError, NoConvergence, NotPsd, Overflow
 from hyperalpha.numerics import (
-    SignedLogValue,
     angular_moment,
-    hermite_coeff_arrays,
     hermite_coeffs,
     make_rng,
     psd_factor,
     quad_radial,
-    signed_logsumexp,
     spawn_seed_sequences,
     trigamma,
 )
@@ -77,54 +75,6 @@ class TestAngularMoment:
                 angular_moment(q, p), rel=1e-14)
 
 
-class TestSignedLog:
-    def test_sum_cancellation(self):
-        s, lv = signed_logsumexp([1, -1], [math.log(5.0), math.log(3.0)])
-        assert s == 1
-        assert lv == pytest.approx(math.log(2.0), rel=1e-12)
-
-    def test_roundtrip(self):
-        for x in (2.5, -1e-40, 0.0, 7e30):
-            assert float(SignedLogValue.from_float(x)) == pytest.approx(
-                x, rel=1e-14)
-
-    def test_sum_to_zero(self):
-        s, lv = signed_logsumexp([1, -1], [0.0, 0.0])
-        assert s == 0
-        assert lv == -math.inf
-
-    def test_logsumexp_matches_direct(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=40) * 3.0
-        signs = np.sign(x).astype(np.int64)
-        logmag = np.log(np.abs(x))
-        s, lv = signed_logsumexp(signs, logmag)
-        direct = x.sum()
-        assert s == np.sign(direct)
-        assert math.exp(lv) == pytest.approx(abs(direct), rel=1e-12)
-
-    def test_logsumexp_axis(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(6, 5))
-        s, lv = signed_logsumexp(np.sign(x), np.log(np.abs(x)), axis=0)
-        direct = x.sum(axis=0)
-        np.testing.assert_allclose(s * np.exp(lv), direct, rtol=1e-12)
-
-    @given(st.lists(st.floats(min_value=-50.0, max_value=50.0,
-                              allow_nan=False), min_size=1, max_size=12))
-    @settings(max_examples=60, deadline=None)
-    def test_logsumexp_property(self, xs):
-        x = np.array(xs)
-        x = x[np.abs(x) > 1e-9]
-        if len(x) == 0:
-            return
-        s, lv = signed_logsumexp(np.sign(x), np.log(np.abs(x)))
-        direct = x.sum()
-        if abs(direct) < 1e-9 * np.abs(x).max():
-            return  # near-total cancellation, relative check meaningless
-        assert s * math.exp(lv) == pytest.approx(direct, rel=1e-9)
-
-
 class TestHermiteCoeffs:
     def test_first_three_orders_exact(self):
         n0 = math.pi ** -0.25
@@ -141,7 +91,7 @@ class TestHermiteCoeffs:
         for n in (3, 6, 9, 14):
             c = hermite_coeffs(n)
             # degrees of the opposite parity carry exactly zero weight
-            assert all(c[m].sign == 0 for m in range((n + 1) % 2, n + 1, 2))
+            assert all(c[m] == 0.0 for m in range((n + 1) % 2, n + 1, 2))
 
     def test_matches_recurrence_evaluation(self):
         # evaluate the polynomial from its coefficients and compare with the
@@ -164,14 +114,21 @@ class TestHermiteCoeffs:
                 direct = h
             np.testing.assert_allclose(poly, direct, rtol=1e-10, atol=1e-10)
 
-    def test_arrays_match_list_form(self):
-        signs, logmags = hermite_coeff_arrays(6)
-        assert len(signs) == 7
-        c = [float(v) for v in hermite_coeffs(6)]
-        with np.errstate(over="ignore"):
-            np.testing.assert_allclose(
-                np.where(signs == 0, 0.0, signs * np.exp(logmags)), c,
-                rtol=1e-12)
+    def test_matches_explicit_sum_to_40_digits(self):
+        # H_n = n! sum_k (-1)^k (2y)^(n-2k) / (k! (n-2k)!), normalized by
+        # sqrt(2^n n! sqrt(pi)), evaluated in 40-digit decimal arithmetic
+        with localcontext() as ctx:
+            ctx.prec = 40
+            sqrt_pi = Decimal(
+                "3.141592653589793238462643383279502884197169").sqrt()
+            for n in range(65):
+                c = hermite_coeffs(n)
+                norm = (Decimal(2 ** n * math.factorial(n)) * sqrt_pi).sqrt()
+                for k in range(n // 2 + 1):
+                    m = n - 2 * k
+                    exact = Decimal((-1) ** k * 2 ** m * math.factorial(n)
+                                    // (math.factorial(k) * math.factorial(m))) / norm
+                    assert abs((Decimal(c[m]) - exact) / exact) <= Decimal("1e-15")
 
     def test_order_cap(self):
         with pytest.raises(Overflow):
@@ -316,6 +273,45 @@ class TestPsdFactor:
             else:
                 factor, _ = dense(psd_factor(m))
                 assert np.abs(factor @ factor.T - m).max() <= 1e-7
+
+
+    @staticmethod
+    def symmetric_600():
+        # 600 = 2 x 256 + 88, so the last tile row and column are partial
+        g = np.random.default_rng(1).normal(size=(600, 40))
+        m = g @ g.T
+        return np.triu(m) + np.triu(m, 1).T
+
+    def test_exactly_symmetric_input_used_as_given(self, monkeypatch):
+        m = self.symmetric_600()
+        assert numerics._is_symmetric(m)
+        monkeypatch.setattr(numerics.np, "allclose", lambda *a, **k: pytest.fail(
+            "averaged an exactly symmetric matrix"))
+        psd_factor(m)
+
+    @pytest.mark.parametrize("i, j", [(10, 300), (550, 20), (590, 580)])
+    def test_round_off_asymmetry_averaged(self, i, j):
+        # one entry pair off by 1e-14 x max |M|: in a full off-diagonal
+        # tile, in a partial one, and in the partial diagonal tile
+        m = self.symmetric_600()
+        m[i, j] += 1e-14 * np.abs(m).max()
+        assert not numerics._is_symmetric(m)
+        got = psd_factor(m).blocks
+        want = psd_factor(0.5 * (m + m.T)).blocks
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            for x, y in zip(a, b):
+                np.testing.assert_array_equal(x, y)
+
+    def test_asymmetric_input_rejected(self):
+        m = self.symmetric_600()
+        m[590, 20] += 1e-6 * np.abs(m).max()
+        with pytest.raises(DomainError):
+            psd_factor(m)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DomainError):
+            psd_factor(np.ones((600, 599)))
 
 
 class TestRng:
