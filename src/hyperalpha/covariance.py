@@ -24,6 +24,13 @@ exactly. K is evaluated as Gamma(g) exp((L2-L1) x/2 - g log cosh x), whose
 exponent is at most g log 2, so K <= Gamma(g) 2^g for every R and scale
 pair and only Gamma(g) itself can overflow (beta in the hundreds).
 
+In d = 2 the covariance is isotropic: swapping the axes of both tapers,
+(a, b) -> (b, a), leaves an entry unchanged, although its degree
+tables are convolved in the other order. Each swap orbit of taper pairs
+is computed once and written to every member, so the matrix is exactly
+invariant under the row permutation CovBlockMatrix.swap, and psd_factor
+factors the swapped parity blocks once.
+
 Entries are for unscaled tapers. The physical taper scale c contributes a
 common factor c^(beta-d), kept as log metadata on the matrix; a common
 factor scales every chi-square block equally and cancels in the pivot
@@ -156,35 +163,77 @@ class CovBlockMatrix:
     def dim(self):
         return self.matrix.shape[0]
 
+    @property
+    def swap(self):
+        """Row permutation swapping the axes of each taper, or None.
+
+        Row (taper (a, b), scale j) goes to row ((b, a), j); the matrix is
+        invariant under it. None in d = 1, or when the tapers are not
+        closed under the swap.
+        """
+        tapers = list(dict.fromkeys(i for i, _ in self.index_map))
+        sw = _taper_swap(tapers)
+        if sw is None:
+            return None
+        return (np.arange(0, self.dim, len(tapers))[:, None] + sw).ravel()
+
 
 def _layout(indices, J):
     return tuple((i, float(j)) for j in J for i in indices)
+
+
+def _taper_swap(indices):
+    """Position of each taper's axis-swapped image, (a, b) -> (b, a).
+
+    None unless d = 2 and the index list is closed under the swap.
+    """
+    pos = {tuple(i): k for k, i in enumerate(indices)}
+    swap = [pos.get(tuple(i)[::-1]) for i in indices]
+    if len(indices[0]) != 2 or None in swap:
+        return None
+    return np.array(swap)
 
 
 def _assemble(indices, J, beta, R):
     """Matrix and structural-zero mask in the CovBlockMatrix row layout.
 
     Parity makes at least half the entries exact zeros; they are marked and
-    skipped, never computed. Each parity-matched taper pair a <= b is
-    filled across all scale pairs at once and mirrored into (b, a), so the
-    matrix is exactly symmetric by construction.
+    skipped, never computed. In d = 2 the covariance is isotropic, so
+    swapping the axes of both tapers, (a, b) -> (b, a), leaves an entry
+    unchanged. One parity-matched taper pair a <= b per swap orbit is
+    filled across all scale pairs at once and written into its swapped
+    image and into the mirrored pairs (b, a), so the matrix is exactly
+    symmetric, and exactly invariant under the axis swap, by
+    construction.
     """
     idx = np.asarray(indices)
     nI, nJ = len(idx), len(J)
     parity = idx % 2
     zero_pair = (parity[:, None, :] != parity[None, :, :]).any(axis=-1)
     A, B = np.nonzero(np.triu(~zero_pair))
+    sw = _taper_swap(indices)
+    if sw is None:
+        sw = np.arange(nI)
+    # keep a pair when it sorts no later than its image, ordered a <= b
+    lo, hi = np.minimum(sw[A], sw[B]), np.maximum(sw[A], sw[B])
+    rep = (A < lo) | ((A == lo) & (B <= hi))
+    A, B = A[rep], B[rep]
     j1, j2 = np.meshgrid(J, J, indexing="ij")
     vals = _entries(idx[A], idx[B], beta, R, j1.ravel(), j2.ravel())
     vals = vals.reshape(-1, nJ, nJ)
-    # same-taper blocks: mirror the upper scale triangle so the matrix is
-    # symmetric to the last bit, not just to round-off
-    same = A == B
+    # a pair whose mirror is itself (a = b) or its swap image (b = swap(a))
+    # gets its own values transposed: mirror the upper scale triangle so
+    # the matrix is symmetric to the last bit, not just to round-off
+    same = (A == B) | (B == sw[A])
     vals[same] = np.triu(vals[same]) + np.triu(vals[same], 1).transpose(0, 2, 1)
     matrix = np.zeros((nJ, nI, nJ, nI))
-    matrix[:, A, :, B] = vals
-    # swapped tapers = swapped scales, from the same values
-    matrix[:, B, :, A] = vals.transpose(0, 2, 1)
+    # one row scale at a time, so the scattered writes stay in a 2 MB slab
+    for row, v, v_mirror in zip(matrix, vals.transpose(1, 0, 2),
+                                vals.transpose(2, 0, 1)):
+        for a, b in ((A, B), (sw[A], sw[B])):
+            row[a, :, b] = v
+            # swapped tapers = swapped scales, from the same values
+            row[b, :, a] = v_mirror
     return matrix.reshape(nI * nJ, -1), np.tile(zero_pair, (nJ, nJ))
 
 

@@ -52,11 +52,11 @@ class ConfidenceInterval:
         return self.lo <= alpha <= self.hi
 
 
-def _block_maps(matrix):
+def _block_maps(matrix, swap):
     """(rows, factor, basis) per block of the matrix's exact-nonzero pattern.
 
     Plain Cholesky per block, basis None, when every block is positive
-    definite; psd_factor's blocks otherwise.
+    definite; psd_factor's blocks otherwise, given the matrix's row swap.
     """
     maps = []
     for rows in _blocks(matrix != 0.0):
@@ -64,7 +64,7 @@ def _block_maps(matrix):
         if info != 0:
             # free the attempt's factors before psd_factor's eigh buffers
             del maps, factor
-            return psd_factor(matrix).blocks
+            return psd_factor(matrix, swap).blocks
         maps.append((rows, factor, None))
     return maps
 
@@ -91,11 +91,14 @@ def sample_Z(cov, plan, count, seed):
     covariance. A block that fails it (round-off negatives at the full
     preset) sends every block to psd_factor: N_b = F_b (V_b^T z_b), the
     eigen-truncated symmetric square root of the block applied to its
-    normals. An eigenvector basis alone rotates with round-off in the
-    matrix, and every draw with it; the square root moves only as much as
-    the matrix does while no eigenvalue crosses the clipping level, so a
-    common factor or a one-ulp change of the exponent moves the draws by
-    round-off. The Cholesky attempt comes first although psd_factor
+    normals. psd_factor gets the covariance's axis swap (cov.swap), so in
+    d = 2 it decomposes one of the two swapped parity blocks and uses it
+    for both, and splits the self-mapped one into swap-even and swap-odd
+    halves; the root is the same up to round-off. An eigenvector basis
+    alone rotates with round-off in the matrix, and every draw with it;
+    the square root moves only as much as the matrix does while no
+    eigenvalue crosses the clipping level, so a common factor or a one-ulp
+    change of the exponent moves the draws by round-off. The Cholesky attempt comes first although psd_factor
     handles every matrix: on the three blocks of a d=2 matrix it costs a
     ninth of a whole-matrix attempt, and it keeps the draws of a
     positive-definite covariance, and the number of psd_factor calls the
@@ -108,7 +111,7 @@ def sample_Z(cov, plan, count, seed):
     if nI * nJ != cov.dim:
         raise DomainError("plan length does not divide the covariance dimension")
     maps = []
-    for rows, factor, basis in _block_maps(cov.matrix):
+    for rows, factor, basis in _block_maps(cov.matrix, cov.swap):
         to_scale = np.zeros((len(rows), nJ))
         to_scale[np.arange(len(rows)), rows // nI] = 1.0
         maps.append((rows, factor, basis, to_scale))

@@ -177,10 +177,12 @@ class PsdFactor:
 
     blocks holds one (rows, factor, basis) triple per connected component
     of the matrix's exact-nonzero pattern, rows being the component's
-    indices into the matrix. basis is a len(rows) x r matrix V of the
-    block's orthonormal eigenvectors whose eigenvalues lie above the
-    clipping level, and factor = V sqrt(lambda), so M_clipped[rows][:, rows]
-    = factor @ factor.T and factor @ basis.T is its symmetric square root.
+    indices into the matrix: ascending, or, for a block that reuses the
+    eigenpairs of its swap image, the image's rows in swapped order. basis
+    is a len(rows) x r matrix V of the block's orthonormal eigenvectors
+    whose eigenvalues lie above the clipping level, and
+    factor = V sqrt(lambda), so M_clipped[rows][:, rows] = factor @ factor.T
+    and factor @ basis.T is its symmetric square root.
     Every entry of M_clipped outside the blocks is zero.
     """
 
@@ -227,7 +229,63 @@ def _is_symmetric(M):
                for i in range(0, n, t) for j in range(i, n, t))
 
 
-def psd_factor(M):
+def _swap_eigh(B, s):
+    """eigh of a block B that the involution s of its positions leaves fixed.
+
+    B[s][:, s] must equal B. B then splits into its swap-even part, in the
+    coordinates e_r for fixed r = s(r) and (e_r + e_s(r)) / sqrt(2) for
+    r < s(r), and its swap-odd part, in (e_r - e_s(r)) / sqrt(2). Each gets
+    one eigendecomposition; the eigenvectors are mapped back to B's own
+    positions, so (lam, vec) is an eigendecomposition of B, unsorted.
+    """
+    pos = np.arange(len(B))
+    fixed, x = np.flatnonzero(s == pos), np.flatnonzero(s > pos)
+    y = s[x]
+    P, Q = np.concatenate([fixed, x]), np.concatenate([fixed, y])
+    w = np.ones(len(P))
+    w[:len(fixed)] = sqrt(0.5)
+    lam_e, vec_e = np.linalg.eigh(
+        w[:, None] * (B[np.ix_(P, P)] + B[np.ix_(P, Q)]) * w)
+    lam_o, vec_o = np.linalg.eigh(B[np.ix_(x, x)] - B[np.ix_(x, y)])
+    ne = len(P)
+    vec = np.zeros((len(B), len(B)))
+    vec[fixed, :ne] = vec_e[:len(fixed)]
+    vec[x, :ne] = vec[y, :ne] = vec_e[len(fixed):] * sqrt(0.5)
+    vec[x, ne:] = vec_o * sqrt(0.5)
+    vec[y, ne:] = -vec[x, ne:]
+    return np.concatenate([lam_e, lam_o]), vec
+
+
+def _eigen_blocks(sym, swap):
+    """(rows, lam, vec) per block of the exact-nonzero pattern of sym.
+
+    A block whose swap image is an earlier block, equal to it entry for
+    entry in swapped row order, reuses that block's eigenpairs on the
+    swapped rows. A block the swap maps to itself, entry for entry, is
+    split by _swap_eigh. Every other block gets one eigh.
+    """
+    blocks = _blocks(sym != 0.0)
+    owner = np.empty(len(sym), dtype=np.intp)
+    for k, rows in enumerate(blocks):
+        owner[rows] = k
+    parts = []
+    for k, rows in enumerate(blocks):
+        B = sym[np.ix_(rows, rows)]
+        # c: the block holding the swap image of this one (k + 1: no swap)
+        img = None if swap is None else swap[rows]
+        c = k + 1 if img is None else owner[img[0]]
+        if (c <= k and np.array_equal(np.sort(img), blocks[c])
+                and np.array_equal(sym[np.ix_(img, img)], B)):
+            if c < k:
+                parts.append((swap[parts[c][0]], *parts[c][1:]))
+            else:
+                parts.append((rows, *_swap_eigh(B, np.searchsorted(rows, img))))
+        else:
+            parts.append((rows, *np.linalg.eigh(B)))
+    return parts
+
+
+def psd_factor(M, swap=None):
     """Eigen-truncated symmetric square root of M, clipping round-off negatives.
 
     M must be symmetric: exactly, or to 1e-12 times max(1, max |M|), in
@@ -238,10 +296,23 @@ def psd_factor(M):
     largest eigenvalue of M raise NotPsd; the eigenpairs above +1e-8 times
     it are kept and the rest are treated as zero, so each block's root
     changes with M as smoothly as its retained eigenspace does.
+
+    swap, optional, is an involutive row permutation under which M may be
+    invariant (a d = 2 covariance under the axis swap). It only saves
+    work: a block that is the swap image of an earlier block, entry for
+    entry, reuses that block's eigenpairs on the swapped rows, and a block
+    the swap maps to itself is decomposed in its swap-even and swap-odd
+    halves, two smaller eigendecompositions. Blocks that fail the exact
+    check are decomposed as without swap.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DomainError("psd_factor requires a square matrix")
+    if swap is not None:
+        swap, rows = np.asarray(swap), np.arange(len(M))
+        if not (np.array_equal(np.sort(swap), rows)
+                and np.array_equal(swap[swap], rows)):
+            raise DomainError("swap must be an involutive permutation of the rows")
     if _is_symmetric(M):
         sym = M
     elif np.allclose(M, M.T, rtol=0, atol=1e-12 * max(1.0, np.abs(M).max())):
@@ -251,10 +322,9 @@ def psd_factor(M):
     # numpy's eigh is LAPACK dsyevd, as scipy's driver="evd"; scipy's runs
     # on scipy's own BLAS threads, which keep spinning after the call and
     # halved the speed of the sampling products that follow
-    parts = [(rows, *np.linalg.eigh(sym[np.ix_(rows, rows)]))
-             for rows in _blocks(sym != 0.0)]
-    top = max((lam[-1] for _, lam, _ in parts), default=0.0)
-    low = min((lam[0] for _, lam, _ in parts), default=0.0)
+    parts = _eigen_blocks(sym, swap)
+    top = max((lam.max() for _, lam, _ in parts), default=0.0)
+    low = min((lam.min() for _, lam, _ in parts), default=0.0)
     floor = _PSD_CLIP_REL * top
     if low < -floor:
         raise NotPsd(

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hyperalpha.tapers import build_taper_set
@@ -19,3 +20,17 @@ def set4():
 def set5():
     # 16-taper preset used in the bias-variance comparison
     return build_taper_set(2, 5)
+
+
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """Sizes of the matrices np.linalg.eigh is called on, in call order."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recorded(a):
+        sizes.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return sizes

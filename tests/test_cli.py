@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperalpha import inference
 from hyperalpha.cli import (_read_rows, main, read_pattern_csv, run_pipeline,
                            write_pattern_csv)
 from hyperalpha.estimator import DIAGNOSTIC_GRID
 from hyperalpha.geometry import PointPattern, Window, normalize_intensity
+from hyperalpha.numerics import psd_factor
 from hyperalpha.simulate import cloaked_lattice, poisson
 from hyperalpha.tapers import build_taper_set
 from hyperalpha.transforms import curve_C
@@ -157,6 +159,29 @@ class TestEstimate:
         first = out.read_bytes()
         assert main(argv) == 0
         assert out.read_bytes() == first
+
+    def test_fallback_ci_rerun_byte_identical(self, pattern_csv, tmp_path,
+                                              monkeypatch):
+        # the reduced-preset covariance of this pattern fails Cholesky, so
+        # the interval comes from psd_factor's root, given the axis swap
+        swaps = []
+
+        def recorded(matrix, swap=None):
+            swaps.append(swap)
+            return psd_factor(matrix, swap)
+
+        monkeypatch.setattr(inference, "psd_factor", recorded)
+        path, _ = pattern_csv
+        out = tmp_path / "report.json"
+        argv = ["estimate", "--input", path, "--half-width", "12",
+                "--ci-level", "0.95", "--ci-draws", "2000", "--output", str(out)]
+        assert main(argv) == 0
+        first = out.read_bytes()
+        assert main(argv) == 0
+        assert out.read_bytes() == first
+        assert len(swaps) == 2 and all(s is not None for s in swaps)
+        ci = json.loads(first)["ci"]
+        assert ci["lo"] < ci["hi"]
 
     def test_rescale_invariance(self, pattern_csv, tmp_path, capsys):
         # the pipeline normalizes to unit intensity, so measuring the same

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hyperalpha import covariance
 from hyperalpha.covariance import (
     _entries,
     sigma_asymptotic,
@@ -198,6 +199,37 @@ class TestTransientMatrix:
     def test_exact_symmetry(self, cov):
         _, _, m = cov
         assert np.array_equal(m.matrix, m.matrix.T)
+
+    @pytest.mark.parametrize("i_max, pairs", [(10, 500), (4, 17)])
+    @pytest.mark.parametrize("build", ["transient", "asymptotic"])
+    def test_exact_axis_swap_invariance(self, i_max, pairs, build, monkeypatch):
+        # the swap (a, b) -> (b, a) of both tapers leaves the d = 2
+        # covariance unchanged; it holds to the last bit, and the entries
+        # are computed once per swap orbit of parity-matched taper pairs
+        # (975 and 30 pairs in all)
+        computed = []
+
+        def counted(i1s, *args):
+            computed.append(len(i1s))
+            return _entries(i1s, *args)
+
+        monkeypatch.setattr(covariance, "_entries", counted)
+        set_ = build_taper_set(2, i_max)
+        J = np.linspace(0.5, 0.9, 5)
+        if build == "transient":
+            m = sigma_transient(set_, J, 0.7, 25.0)
+        else:
+            m = sigma_asymptotic(set_, J, 0.7)
+        p = m.swap
+        assert sorted(m.index_map[r] for r in p) == sorted(m.index_map)
+        assert m.index_map[p[1]] == (m.index_map[1][0][::-1], J[0])
+        assert np.array_equal(m.matrix[np.ix_(p, p)], m.matrix)
+        assert np.array_equal(m.matrix, m.matrix.T)
+        assert computed == [pairs]
+
+    def test_no_swap_in_d1(self):
+        m = sigma_transient(build_taper_set(1, 6), np.array([0.55, 0.7]), 0.5, 40.0)
+        assert m.swap is None
 
     def test_psd(self, cov):
         _, _, m = cov

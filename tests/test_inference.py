@@ -66,12 +66,16 @@ def dense_Z(cov, plan, count, seed, root):
     return np.concatenate(out)[:count]
 
 
-def dense_root(matrix):
+def dense_root(matrix, swap=None):
     """The symmetric square root of the clipped matrix, from psd_factor's blocks."""
     root = np.zeros(matrix.shape)
-    for rows, factor, basis in psd_factor(matrix).blocks:
+    for rows, factor, basis in psd_factor(matrix, swap).blocks:
         root[np.ix_(rows, rows)] = factor @ basis.T
     return root
+
+
+def ranks(matrix, swap=None):
+    return [factor.shape[1] for _, factor, _ in psd_factor(matrix, swap).blocks]
 
 
 @pytest.fixture(scope="module")
@@ -109,9 +113,9 @@ class TestSampleZ:
                                                             monkeypatch):
         calls, covs = [], []
 
-        def counted(matrix):
+        def counted(*args):
             calls.append(1)
-            return psd_factor(matrix)
+            return psd_factor(*args)
 
         def captured(*args):
             covs.append(sigma_transient(*args))
@@ -239,6 +243,47 @@ class TestSampleZ:
         bad_plan = default_scale_plan(0.5, 0.9, n_scales=7)
         with pytest.raises(DomainError):
             sample_Z(cov, bad_plan, 100, seed=0)
+
+
+class TestAxisSwapFactor:
+    # fallback_cov's blocks are (even,odd), (odd,even) and (odd,odd) tapers,
+    # 100 rows each; the axis swap maps the first two onto each other and
+    # the third, whose 50 rows of tapers (1, 1) and (3, 3) it fixes, onto
+    # itself
+
+    def test_root_matches_plain_root(self, fallback_cov):
+        _, _, cov = fallback_cov
+        plain = dense_root(cov.matrix)
+        root = dense_root(cov.matrix, cov.swap)
+        assert np.max(np.abs(root - plain)) <= 1e-10 * np.abs(plain).max()
+        assert ranks(cov.matrix, cov.swap) == ranks(cov.matrix)
+
+    def test_swapped_blocks_factored_once(self, fallback_cov, eigh_sizes):
+        _, plan, cov = fallback_cov
+        psd_factor(cov.matrix, cov.swap)
+        assert eigh_sizes == [100, 75, 25]
+        # sample_Z hands the covariance's swap on
+        del eigh_sizes[:]
+        sample_Z(cov, plan, 10, seed=0)
+        assert eigh_sizes == [100, 75, 25]
+
+    def test_matrix_off_swap_invariance_factored_plainly(self, fallback_cov,
+                                                         eigh_sizes):
+        # a relative perturbation of 1e-15 per entry breaks the exact
+        # invariance in every block: each gets its own full eigh, and the
+        # factor is the one computed without the swap
+        _, _, cov = fallback_cov
+        e = np.random.default_rng(0).standard_normal(cov.matrix.shape)
+        moved = cov.matrix * (1.0 + 1e-15 * (e + e.T) / 2.0)
+        got = psd_factor(moved, cov.swap)
+        assert eigh_sizes == [100, 100, 100]
+        want = psd_factor(moved)
+        for a, b in zip(got.blocks, want.blocks, strict=True):
+            for x, y in zip(a, b):
+                np.testing.assert_array_equal(x, y)
+        root = dense_root(cov.matrix, cov.swap)
+        assert (np.max(np.abs(dense_root(moved, cov.swap) - root))
+                <= 1e-9 * np.abs(root).max())
 
 
 class TestQuantile:

@@ -275,6 +275,41 @@ class TestPsdFactor:
                 assert np.abs(factor @ factor.T - m).max() <= 1e-7
 
 
+    @pytest.mark.parametrize("neg, raises", [(-1e-6, True), (-1e-9, False)])
+    def test_clipping_in_swap_odd_half(self, neg, raises, eigh_sizes):
+        # one dense block that the row swap 0<->1, 3<->4, 5<->6 (row 2
+        # fixed) maps to itself: eigenvalues 1, 0.5, 0.3, 0.1 in its
+        # swap-even half and 0.2, 0, neg in its swap-odd half, which gets
+        # its own eigendecomposition
+        swap = np.array([1, 0, 2, 4, 3, 6, 5])
+        h = math.sqrt(0.5)
+        even = np.array([[0, h, 0, 0], [0, h, 0, 0], [1, 0, 0, 0],
+                         [0, 0, h, 0], [0, 0, h, 0], [0, 0, 0, h], [0, 0, 0, h]])
+        odd = np.array([[h, 0, 0], [-h, 0, 0], [0, 0, 0], [0, h, 0],
+                        [0, -h, 0], [0, 0, h], [0, 0, -h]])
+        rng = np.random.default_rng(4)
+        qe, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        qo, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        m = (even @ qe @ np.diag([1.0, 0.5, 0.3, 0.1]) @ qe.T @ even.T
+             + odd @ qo @ np.diag([0.2, 0.0, neg]) @ qo.T @ odd.T)
+        m = 0.5 * (m + m.T)
+        m = 0.5 * (m + m[np.ix_(swap, swap)])
+        assert np.all(m != 0.0)
+        if raises:
+            with pytest.raises(NotPsd):
+                psd_factor(m, swap)
+        else:
+            factor, basis = dense(psd_factor(m, swap))
+            assert np.abs(factor @ factor.T - m).max() <= 1e-7
+            np.testing.assert_allclose(basis.T @ basis, np.eye(5), atol=1e-12)
+        assert eigh_sizes == [4, 3]
+
+    def test_swap_must_be_an_involution(self):
+        m = np.eye(3)
+        for swap in ([1, 2, 0], [0, 1], [0, 0, 2]):
+            with pytest.raises(DomainError):
+                psd_factor(m, np.array(swap))
+
     @staticmethod
     def symmetric_600():
         # 600 = 2 x 256 + 88, so the last tile row and column are partial
