@@ -32,15 +32,14 @@ invariant under the row permutation CovBlockMatrix.swap, and psd_factor
 factors the swapped parity blocks once.
 
 Entries are for unscaled tapers. The physical taper scale c contributes a
-common factor c^(beta-d), kept as log metadata on the matrix; a common
-factor scales every chi-square block equally and cancels in the pivot
-statistic, so it never enters the confidence interval.
+common factor c^(beta-d); a common factor scales every chi-square block
+equally and cancels in the pivot statistic, so it never enters the
+confidence interval.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 from scipy.special import gamma
 
 from .errors import DomainError, Overflow
@@ -157,7 +156,6 @@ class CovBlockMatrix:
     beta: float
     R: float
     structural_zero: np.ndarray
-    log_scale_factor: float
 
     @property
     def dim(self):
@@ -253,7 +251,6 @@ def sigma_transient(set_, J, beta, R):
         beta=float(beta),
         R=float(R),
         structural_zero=zero,
-        log_scale_factor=(beta - set_.dim) * np.log(set_.spatial_scale),
     )
 
 
@@ -267,12 +264,14 @@ def sigma_asymptotic(set_, J, alpha):
     if alpha < 0:
         raise DomainError("alpha must be nonnegative")
     block, _ = _assemble(set_.indices, np.ones(1), alpha, 1.0)
-    matrix = block_diag(*[block] * len(J))
+    n, ar = len(block), np.arange(len(J))
+    matrix = np.zeros((len(J), n, len(J), n))
+    matrix[ar, :, ar, :] = block
+    matrix = matrix.reshape(len(J) * n, -1)
     return CovBlockMatrix(
         index_map=_layout(set_.indices, J),
         matrix=matrix,
         beta=float(alpha),
         R=np.inf,
         structural_zero=matrix == 0.0,
-        log_scale_factor=(alpha - set_.dim) * np.log(set_.spatial_scale),
     )

@@ -9,11 +9,10 @@ the matrix drop overall constants.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
 
 from .covariance import sigma_transient
 from .errors import DomainError, ZeroTransformSum
-from .numerics import _blocks, psd_factor, spawn_seed_sequences
+from .numerics import psd_factor, spawn_seed_sequences
 
 _BLOCK_DRAWS = 4096
 # a chunk of normals holds at most this many (16 MiB), or a single row
@@ -52,23 +51,6 @@ class ConfidenceInterval:
         return self.lo <= alpha <= self.hi
 
 
-def _block_maps(matrix, swap):
-    """(rows, factor, basis) per block of the matrix's exact-nonzero pattern.
-
-    Plain Cholesky per block, basis None, when every block is positive
-    definite; psd_factor's blocks otherwise, given the matrix's row swap.
-    """
-    maps = []
-    for rows in _blocks(matrix != 0.0):
-        factor, info = dpotrf(matrix[np.ix_(rows, rows)], lower=1, overwrite_a=1)
-        if info != 0:
-            # free the attempt's factors before psd_factor's eigh buffers
-            del maps, factor
-            return psd_factor(matrix, swap).blocks
-        maps.append((rows, factor, None))
-    return maps
-
-
 def sample_Z(cov, plan, count, seed):
     """Draw the pivot Z = sum_j w_j log(sum_i N(i,j)^2), N ~ N(0, cov).
 
@@ -82,27 +64,21 @@ def sample_Z(cov, plan, count, seed):
 
     The matrix splits into blocks, the connected components of its
     exact-nonzero pattern (the taper parity classes), and each draw is
-    mapped one block at a time: the block's coordinates z_b through the
-    block's own factor, their squares added to the per-scale chi-square
-    sums. N_b = L_b z_b with the Cholesky factor L_b when every block is
-    positive definite, which is exactly when Cholesky of the whole matrix
-    succeeds: Cholesky commutes with scalar rescaling up to rounding,
-    which is what makes Z draws invariant under a common factor on the
-    covariance. A block that fails it (round-off negatives at the full
-    preset) sends every block to psd_factor: N_b = F_b (V_b^T z_b), the
-    eigen-truncated symmetric square root of the block applied to its
-    normals. psd_factor gets the covariance's axis swap (cov.swap), so in
+    mapped one block at a time through psd_factor's root of the block:
+    N_b = F_b (V_b^T z_b), the eigen-truncated symmetric square root
+    applied to the block's normals z_b, their squares added to the
+    per-scale chi-square sums. Any square root of the covariance gives
+    the same law of N; this one serves every covariance, positive definite
+    or not. psd_factor gets the covariance's axis swap (cov.swap), so in
     d = 2 it decomposes one of the two swapped parity blocks and uses it
     for both, and splits the self-mapped one into swap-even and swap-odd
     halves; the root is the same up to round-off. An eigenvector basis
     alone rotates with round-off in the matrix, and every draw with it;
     the square root moves only as much as the matrix does while no
-    eigenvalue crosses the clipping level, so a common factor or a one-ulp
-    change of the exponent moves the draws by round-off. The Cholesky attempt comes first although psd_factor
-    handles every matrix: on the three blocks of a d=2 matrix it costs a
-    ninth of a whole-matrix attempt, and it keeps the draws of a
-    positive-definite covariance, and the number of psd_factor calls the
-    benchmark records, unchanged.
+    eigenvalue crosses the clipping level. A common factor c on the
+    covariance scales the root by sqrt(c) and every chi-square sum by c,
+    which the zero-sum weights cancel, so it moves the draws by round-off,
+    as does a one-ulp change of the exponent.
     """
     if count < 1:
         raise DomainError("need at least one draw")
@@ -111,7 +87,7 @@ def sample_Z(cov, plan, count, seed):
     if nI * nJ != cov.dim:
         raise DomainError("plan length does not divide the covariance dimension")
     maps = []
-    for rows, factor, basis in _block_maps(cov.matrix, cov.swap):
+    for rows, factor, basis in psd_factor(cov.matrix, cov.swap).blocks:
         to_scale = np.zeros((len(rows), nJ))
         to_scale[np.arange(len(rows)), rows // nI] = 1.0
         maps.append((rows, factor, basis, to_scale))
@@ -130,10 +106,7 @@ def sample_Z(cov, plan, count, seed):
             z = rng.standard_normal((take, cov.dim))
             chi = np.zeros((take, nJ))
             for rows, factor, basis, to_scale in maps:
-                x = np.take(z, rows, axis=1)
-                if basis is not None:
-                    x = x @ basis
-                x = x @ factor.T
+                x = (np.take(z, rows, axis=1) @ basis) @ factor.T
                 chi += (x * x) @ to_scale
             if np.any(chi == 0.0):
                 raise ZeroTransformSum("a chi-square block vanished (degenerate covariance)")

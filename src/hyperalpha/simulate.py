@@ -10,11 +10,6 @@ from .errors import DomainError, Unmatchable
 from .geometry import PointPattern, Window
 from .numerics import make_rng
 
-try:
-    from scipy.spatial import cKDTree
-except ImportError:  # pragma: no cover
-    cKDTree = None
-
 
 def poisson(lam, R, seed, d=2):
     """Homogeneous Poisson pattern of intensity lam on [-R, R]^d."""
@@ -114,8 +109,6 @@ def matched_process(lambda_p, R, seed, max_attempts=3):
     lattice site. Needs lambda_p > 1 so the cloud outnumbers the lattice;
     a replicate whose cloud comes up short is redrawn, a few times only.
     """
-    if cKDTree is None:  # pragma: no cover
-        raise ImportError("matched_process requires scipy")
     if lambda_p <= 1:
         raise DomainError("lambda_p must exceed 1 (lattice intensity)")
     if R <= 1:
@@ -144,6 +137,8 @@ def matched_process(lambda_p, R, seed, max_attempts=3):
 
 def _mutual_match(targets, cloud, box):
     """Torus mutual-NN matching; returns cloud points, one per target."""
+    from scipy.spatial import cKDTree
+
     # wrap so rounding can never push a coordinate onto the seam
     targets = np.mod(targets, box)
     cloud = np.mod(cloud, box)

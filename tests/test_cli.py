@@ -162,7 +162,6 @@ class TestEstimate:
 
     def test_fallback_ci_rerun_byte_identical(self, pattern_csv, tmp_path,
                                               monkeypatch):
-        # the reduced-preset covariance of this pattern fails Cholesky, so
         # the interval comes from psd_factor's root, given the axis swap
         swaps = []
 
@@ -379,3 +378,14 @@ def test_console_script_version():
     proc = subprocess.run([sys.executable, "-m", "hyperalpha.cli",
                            "--version"], capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def test_cli_import_skips_scipy_linalg_and_spatial():
+    # neither is on the estimate path: the sampler factors with numpy's
+    # eigh, and only matched_process needs a k-d tree
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hyperalpha.cli; print(sorted("
+         "m for m in ('scipy.linalg', 'scipy.spatial') if m in sys.modules))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

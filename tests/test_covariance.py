@@ -1,7 +1,6 @@
-import math
-
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from hyperalpha import covariance
 from hyperalpha.covariance import (
@@ -271,12 +270,6 @@ class TestTransientMatrix:
                 sigma_entry_d2(i1, i2, j1, j2, 0.4, 20.0),
                 rel=1e-10, abs=1e-300)
 
-    def test_scale_factor_metadata(self):
-        set4 = build_taper_set(2, 4)
-        m = sigma_transient(set4, np.array([0.5, 0.8]), 0.7, 25.0)
-        assert m.log_scale_factor == pytest.approx(
-            (0.7 - 2.0) * math.log(set4.spatial_scale))
-
     def test_d1_matrix_matches_quadrature(self):
         set_ = build_taper_set(1, 6)
         J = np.array([0.55, 0.7])
@@ -316,6 +309,9 @@ class TestAsymptoticMatrix:
         # off-diagonal scale blocks vanish: distinct scales decouple in
         # the limit
         assert np.all(m.matrix[:nI, nI:] == 0.0)
+        # the same bytes as scipy's block_diag, signs of zeros included
+        one, _ = covariance._assemble(set4.indices, np.ones(1), 0.8, 1.0)
+        assert m.matrix.tobytes() == block_diag(one, one, one).tobytes()
 
     def test_transient_converges_to_asymptotic(self):
         set4 = build_taper_set(2, 4)

@@ -93,29 +93,20 @@ class TestSampleZ:
     @pytest.mark.parametrize("case", ["small_cov", "fallback_cov", "asymptotic_cov"])
     def test_matches_dense_reference(self, case, request):
         # one block at a time and chunked against one dense map of the same
-        # normals: whole-matrix Cholesky where it succeeds, the densified
-        # square root where it fails. A Cholesky factor's round-off grows
-        # with the condition number (4e6 for small_cov, where numpy's
-        # Cholesky of one extracted block and of the whole matrix differ by
-        # 5e-12), so that bound is 1e-12 or eps x cond, whichever is larger
+        # normals through the densified square root
         _, plan, cov = request.getfixturevalue(case)
-        if fails_cholesky(cov.matrix):
-            root, rel = dense_root(cov.matrix), 1e-12
-        else:
-            root = np.linalg.cholesky(cov.matrix)
-            rel = max(1e-12, np.finfo(float).eps * np.linalg.cond(cov.matrix))
-        ref = dense_Z(cov, plan, 5000, 17, root)
+        ref = dense_Z(cov, plan, 5000, 17, dense_root(cov.matrix, cov.swap))
         got = sample_Z(cov, plan, 5000, seed=17).values
-        assert np.max(np.abs(got - ref)) <= rel * np.abs(ref).max()
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.abs(ref).max()
 
-    def test_psd_factor_called_exactly_when_cholesky_fails(self, small_cov,
-                                                            fallback_cov,
-                                                            monkeypatch):
-        calls, covs = [], []
+    def test_psd_factor_called_once_with_swap(self, small_cov, fallback_cov,
+                                              asymptotic_cov, monkeypatch):
+        # one factor path for every covariance, positive definite or not
+        swaps, covs = [], []
 
-        def counted(*args):
-            calls.append(1)
-            return psd_factor(*args)
+        def counted(matrix, swap=None):
+            swaps.append(swap)
+            return psd_factor(matrix, swap)
 
         def captured(*args):
             covs.append(sigma_transient(*args))
@@ -123,18 +114,32 @@ class TestSampleZ:
 
         monkeypatch.setattr(inference, "psd_factor", counted)
         monkeypatch.setattr(inference, "sigma_transient", captured)
-        for _, plan, cov in (small_cov, fallback_cov):
-            del calls[:]
+        for _, plan, cov in (small_cov, fallback_cov, asymptotic_cov):
+            del swaps[:]
             sample_Z(cov, plan, 300, seed=0)
-            assert len(calls) == fails_cholesky(cov.matrix)
-        assert fails_cholesky(fallback_cov[2].matrix)
+            assert len(swaps) == 1 and np.array_equal(swaps[0], cov.swap)
         # the benchmark's interval smoke call: cloaked R 12, i_max 4,
-        # 8 scales, full preset
-        del calls[:]
+        # 8 scales, full preset; its covariance is positive definite
+        del swaps[:]
         run_pipeline(cloaked_lattice(1.0, 0.25, 12.0, 1), i_max=4, n_scales=8,
                      ci_level=0.95, ci_draws=256, ci_full=True)
         assert len(covs) == 1 and not fails_cholesky(covs[0].matrix)
-        assert calls == []
+        assert len(swaps) == 1 and np.array_equal(swaps[0], covs[0].swap)
+
+    def test_positive_definite_shift_moves_quantiles_by_round_off(
+            self, fallback_cov):
+        # a diagonal shift of 1.07e-14 of the largest eigenvalue makes the
+        # matrix pass Cholesky; which root samples it must not depend on
+        # that (a Cholesky-first sampler moved these quantiles by 0.058)
+        _, plan, cov = fallback_cov
+        top = np.linalg.eigvalsh(cov.matrix).max()
+        shifted = dataclasses.replace(
+            cov, matrix=cov.matrix + 1.07e-14 * top * np.eye(cov.dim))
+        assert fails_cholesky(cov.matrix) and not fails_cholesky(shifted.matrix)
+        a = sample_Z(cov, plan, 4096, seed=3)
+        b = sample_Z(shifted, plan, 4096, seed=3)
+        for p in (0.025, 0.5, 0.975):
+            assert abs(quantile(a, p) - quantile(b, p)) < 1e-6
 
     def test_peak_memory_full_preset(self):
         # the benchmark's interval covariance (dimension 3750, Cholesky
@@ -165,22 +170,14 @@ class TestSampleZ:
         b = sample_Z(cov, plan, 9000, seed=9)
         np.testing.assert_array_equal(a.values, b.values[:3000])
 
-    def test_scale_invariance_per_draw(self, small_cov):
+    @pytest.mark.parametrize("case", ["small_cov", "fallback_cov"])
+    def test_scale_invariance_per_draw(self, case, request):
         # multiplying the covariance by any constant must leave each draw
         # unchanged to near machine precision
-        _, plan, cov = small_cov
+        _, plan, cov = request.getfixturevalue(case)
         base = sample_Z(cov, plan, 2000, seed=5).values
         for c in (7.5, 1e-3, 40.0):
             scaled = dataclasses.replace(cov, matrix=cov.matrix * c)
-            got = sample_Z(scaled, plan, 2000, seed=5).values
-            assert np.max(np.abs(got - base)) < 1e-10
-
-    def test_scale_invariance_per_draw_on_fallback(self, fallback_cov):
-        _, plan, cov = fallback_cov
-        base = sample_Z(cov, plan, 2000, seed=5).values
-        for c in (7.5, 1e-3, 40.0):
-            scaled = dataclasses.replace(cov, matrix=cov.matrix * c)
-            assert fails_cholesky(scaled.matrix)
             got = sample_Z(scaled, plan, 2000, seed=5).values
             assert np.max(np.abs(got - base)) < 1e-10
 
