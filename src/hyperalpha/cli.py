@@ -1,8 +1,9 @@
 """Command line interface: estimate, simulate, curve, coverage.
 
 Exit codes: 0 success, 2 input that cannot be parsed, 3 empty input,
-4 numerical failure. Output is deterministic for a fixed config: JSON keys
-are sorted and floats serialized by repr, so reruns are byte-identical.
+4 numerical failure or a parameter outside its domain. Output is
+deterministic for a fixed config: JSON keys are sorted and floats
+serialized by repr, so reruns are byte-identical.
 """
 
 import argparse
@@ -14,7 +15,8 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .errors import EmptyInput, EmptyPattern, HyperalphaError, WindowTooSmall
+from .errors import (DomainError, EmptyInput, EmptyPattern, HyperalphaError,
+                     WindowTooSmall)
 from .estimator import (DIAGNOSTIC_GRID, calibrate_jmax,
                         calibrate_jmax_poisson, default_scale_plan,
                         estimate_alpha, poisson_curves, pooled_estimate,
@@ -144,7 +146,8 @@ def run_pipeline(pattern, i_max=10, taper_scale=DEFAULT_SPATIAL_SCALE,
     reduced = ci_level is not None and not ci_full
     est_set, plan, curve, j_min, j_max = _calibrate(
         normalized, i_max, taper_scale, j_min, j_max, n_scales, reduced)
-    report = estimate_alpha(normalized, est_set, plan, curve=curve)
+    report = estimate_alpha(normalized, est_set, plan)
+    report.curve = curve
     report.diagnostics["j_min"] = j_min
     report.diagnostics["j_max"] = j_max
     report.diagnostics["lambda_hat_raw"] = record.lambda_hat
@@ -256,6 +259,9 @@ def _cmd_curve(args):
 
 def _cmd_simulate(args):
     R = args.half_width
+    if args.dim != 2 and args.model != "poisson":
+        raise DomainError(f"--model {args.model} simulates 2-D patterns only; "
+                          "--dim 1 needs --model poisson")
     if args.model == "poisson":
         pattern = poisson(args.intensity, R, args.seed, d=args.dim)
         params = {"intensity": args.intensity}
@@ -288,6 +294,8 @@ def _cmd_coverage(args):
     level = args.ci_level
     true_alpha = args.alpha
     R = args.half_width
+    if args.replicates < 1:
+        raise DomainError("--replicates must be at least 1")
 
     def simulate_one(rep):
         return cloaked_lattice(true_alpha, args.sigma, R, args.seed + rep)
@@ -407,9 +415,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("default")
-            return args.func(args)
+        return args.func(args)
     except _ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

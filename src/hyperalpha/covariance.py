@@ -147,19 +147,28 @@ class CovBlockMatrix:
     """Dense symmetric covariance with scale-major row layout.
 
     Row convention: row = scale_index * |I| + taper_index, matching how
-    transform vectors are flattened for sampling. structural_zero marks
-    entries that vanish identically by parity.
+    transform vectors are flattened for sampling. structural_zero and swap
+    are derived from the taper indices when read; neither is stored.
     """
 
     index_map: tuple
     matrix: np.ndarray
     beta: float
     R: float
-    structural_zero: np.ndarray
 
     @property
     def dim(self):
         return self.matrix.shape[0]
+
+    @property
+    def _tapers(self):
+        return list(dict.fromkeys(i for i, _ in self.index_map))
+
+    @property
+    def structural_zero(self):
+        """n x n mask of the entries that vanish by parity (_parity_zero)."""
+        tapers = self._tapers
+        return np.tile(_parity_zero(tapers), (self.dim // len(tapers),) * 2)
 
     @property
     def swap(self):
@@ -169,7 +178,7 @@ class CovBlockMatrix:
         invariant under it. None in d = 1, or when the tapers are not
         closed under the swap.
         """
-        tapers = list(dict.fromkeys(i for i, _ in self.index_map))
+        tapers = self._tapers
         sw = _taper_swap(tapers)
         if sw is None:
             return None
@@ -178,6 +187,12 @@ class CovBlockMatrix:
 
 def _layout(indices, J):
     return tuple((i, float(j)) for j in J for i in indices)
+
+
+def _parity_zero(indices):
+    """Taper pairs whose entries vanish by parity: they differ on some axis."""
+    parity = np.asarray(indices) % 2
+    return (parity[:, None, :] != parity[None, :, :]).any(axis=-1)
 
 
 def _taper_swap(indices):
@@ -193,22 +208,19 @@ def _taper_swap(indices):
 
 
 def _assemble(indices, J, beta, R):
-    """Matrix and structural-zero mask in the CovBlockMatrix row layout.
+    """Matrix in the CovBlockMatrix row layout.
 
-    Parity makes at least half the entries exact zeros; they are marked and
-    skipped, never computed. In d = 2 the covariance is isotropic, so
-    swapping the axes of both tapers, (a, b) -> (b, a), leaves an entry
+    Parity makes at least half the entries exact zeros (_parity_zero);
+    they are skipped, never computed. In d = 2 the covariance is isotropic,
+    so swapping the axes of both tapers, (a, b) -> (b, a), leaves an entry
     unchanged. One parity-matched taper pair a <= b per swap orbit is
     filled across all scale pairs at once and written into its swapped
     image and into the mirrored pairs (b, a), so the matrix is exactly
-    symmetric, and exactly invariant under the axis swap, by
-    construction.
+    symmetric, and exactly invariant under the axis swap, by construction.
     """
     idx = np.asarray(indices)
     nI, nJ = len(idx), len(J)
-    parity = idx % 2
-    zero_pair = (parity[:, None, :] != parity[None, :, :]).any(axis=-1)
-    A, B = np.nonzero(np.triu(~zero_pair))
+    A, B = np.nonzero(np.triu(~_parity_zero(idx)))
     sw = _taper_swap(indices)
     if sw is None:
         sw = np.arange(nI)
@@ -232,7 +244,7 @@ def _assemble(indices, J, beta, R):
             row[a, :, b] = v
             # swapped tapers = swapped scales, from the same values
             row[b, :, a] = v_mirror
-    return matrix.reshape(nI * nJ, -1), np.tile(zero_pair, (nJ, nJ))
+    return matrix.reshape(nI * nJ, -1)
 
 
 def sigma_transient(set_, J, beta, R):
@@ -244,13 +256,11 @@ def sigma_transient(set_, J, beta, R):
         raise DomainError("need R > 1")
     if beta < 0:
         raise DomainError("beta must be nonnegative")
-    matrix, zero = _assemble(set_.indices, J, beta, R)
     return CovBlockMatrix(
         index_map=_layout(set_.indices, J),
-        matrix=matrix,
+        matrix=_assemble(set_.indices, J, beta, R),
         beta=float(beta),
         R=float(R),
-        structural_zero=zero,
     )
 
 
@@ -263,15 +273,13 @@ def sigma_asymptotic(set_, J, alpha):
     J = np.asarray(J, dtype=np.float64)
     if alpha < 0:
         raise DomainError("alpha must be nonnegative")
-    block, _ = _assemble(set_.indices, np.ones(1), alpha, 1.0)
+    block = _assemble(set_.indices, np.ones(1), alpha, 1.0)
     n, ar = len(block), np.arange(len(J))
     matrix = np.zeros((len(J), n, len(J), n))
     matrix[ar, :, ar, :] = block
-    matrix = matrix.reshape(len(J) * n, -1)
     return CovBlockMatrix(
         index_map=_layout(set_.indices, J),
-        matrix=matrix,
+        matrix=matrix.reshape(len(J) * n, -1),
         beta=float(alpha),
         R=np.inf,
-        structural_zero=matrix == 0.0,
     )

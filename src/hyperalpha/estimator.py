@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DegenerateScales, DomainError, EmptyInput, WindowTooSmall
 from .geometry import estimate_intensity
 from .simulate import poisson
-from .transforms import CurveC, curve_C, taper_set_id, transform_grid
+from .transforms import CurveC, curve_C, transform_grid
 
 DEFAULT_N_SCALES = 50
 
@@ -77,6 +77,8 @@ def default_scale_plan(j_min, j_max, n_scales=DEFAULT_N_SCALES):
 
 @dataclass
 class EstimateReport:
+    """One pattern's estimate; run_pipeline attaches its diagnostic curve."""
+
     alpha_hat: float
     nonempty: bool
     lambda_hat: float
@@ -87,7 +89,7 @@ class EstimateReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def estimate_alpha(p, set_, plan, curve=None):
+def estimate_alpha(p, set_, plan):
     """Point estimate of the hyperuniformity exponent from one pattern.
 
     The empty pattern yields alpha_hat = 0 with nonempty=False rather than
@@ -111,26 +113,17 @@ def estimate_alpha(p, set_, plan, curve=None):
     sq = np.sum(tg.values**2, axis=1)
     if np.any(sq == 0.0):
         raise DomainError("squared transform sum vanished on a plan scale")
-    log_sums = np.log(sq)
-    log_R = np.log(R)
-    alpha = p.dim - float(plan.weights @ log_sums) / log_R
-    if curve is None:
-        curve = CurveC(
-            grid=plan.scales, values=log_sums / log_R, R=R,
-            taper_set_id=taper_set_id(set_),
-        )
+    alpha = p.dim - float(plan.weights @ np.log(sq)) / np.log(R)
     return EstimateReport(
         alpha_hat=alpha, nonempty=True, lambda_hat=lam, R=R, plan=plan,
-        curve=curve, n_points=len(p),
-        diagnostics={"log_sums": log_sums, "scales": plan.scales},
+        curve=None, n_points=len(p),
     )
 
 
 def calibrate_jmax(set_, R):
     """Largest usable scale: tapers at scale j must fit inside the window.
 
-    The limit is 1 - log(max support) / log R, clamped to 1; supports come
-    from the set's cached table.
+    The limit is 1 - log(set_.max_support) / log R, clamped to 1.
     """
     if not R > 1:
         raise WindowTooSmall(f"need R > 1, got {R}")

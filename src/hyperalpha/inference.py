@@ -133,7 +133,7 @@ def pivot_quantiles(set_, plan, beta, R, level, draws=DEFAULT_CI_DRAWS, seed=0):
 
 
 def confidence_interval(report, set_, level=0.95, draws=DEFAULT_CI_DRAWS,
-                        seed=0, beta=None, plan=None):
+                        seed=0, beta=None):
     """Asymptotic interval for the exponent around a point estimate.
 
     The covariance is evaluated at beta = max(alpha_hat, 0) unless a value
@@ -142,7 +142,7 @@ def confidence_interval(report, set_, level=0.95, draws=DEFAULT_CI_DRAWS,
     """
     if not report.nonempty:
         return ConfidenceInterval(0.0, 0.0, level, 0.0, degenerate=True)
-    plan = report.plan if plan is None else plan
+    plan = report.plan
     if plan is None:
         raise DomainError("no scale plan available for interval construction")
     if beta is None:

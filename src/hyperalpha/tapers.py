@@ -6,7 +6,7 @@ Indices with all components even are excluded so every taper integrates
 to zero and vanishes at the origin.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,13 +14,13 @@ from .errors import DomainError
 
 _MACHINE_EPS = float(np.finfo(np.float64).eps)
 
-# Envelope threshold used for the supports cached on a TaperSet. These
-# supports feed border calibration (the j_max rule), where the operative
-# question is "out to where does the taper meaningfully reach", not "where
-# does it underflow": at machine epsilon the order-9 factor-5 taper has
-# sigma near 2.1, which would pin j_max near 0.80 at R=40, while its
-# effective reach (and observed border behavior) corresponds to sigma
-# near 1.1 and j_max near 1. 1e-2 reproduces the latter.
+# Envelope threshold of a TaperSet's max_support. That support feeds border
+# calibration (the j_max rule), where the operative question is "out to
+# where does the taper meaningfully reach", not "where does it underflow":
+# at machine epsilon the order-9 factor-5 taper has sigma near 2.1, which
+# would pin j_max near 0.80 at R=40, while its effective reach (and
+# observed border behavior) corresponds to sigma near 1.1 and j_max near 1.
+# 1e-2 reproduces the latter.
 DEFAULT_SUPPORT_EPS = 1e-2
 
 DEFAULT_SPATIAL_SCALE = 5.0
@@ -53,21 +53,15 @@ def hermite_function_values(n_max, y):
 class TaperSet:
     """Immutable family of Hermite tapers sharing one spatial scale.
 
-    supports maps each index to its cached support radius sigma_i, computed
-    with support_eps (see DEFAULT_SUPPORT_EPS). numerical_support re-scans
-    at any eps on demand.
+    max_support is the largest numerical support over the tapers at
+    DEFAULT_SUPPORT_EPS, the only support the j_max rule reads.
     """
 
     dim: int
     i_max: int
     spatial_scale: float
     indices: tuple
-    supports: dict = field(repr=False)
-    support_eps: float
-
-    @property
-    def max_support(self):
-        return max(self.supports.values())
+    max_support: float
 
 
 def _support_tables(n_max, c):
@@ -102,15 +96,13 @@ def _scan_support(orders, tables, eps):
     return sigma
 
 
-def build_taper_set(d, i_max, c=DEFAULT_SPATIAL_SCALE, support_eps=DEFAULT_SUPPORT_EPS):
-    """All multi-indices in {0..i_max-1}^d with at least one odd component.
-
-    Supports are cached per index at support_eps.
-    """
+def build_taper_set(d, i_max, c=DEFAULT_SPATIAL_SCALE):
+    """All multi-indices in {0..i_max-1}^d with at least one odd component."""
     if d not in (1, 2):
         raise DomainError("build_taper_set supports d in {1, 2}")
-    if i_max < 1:
-        raise DomainError("i_max must be >= 1")
+    if i_max < 2:
+        raise DomainError("i_max must be >= 2: below that every index "
+                          "would be all-even")
     if not c > 0:
         raise DomainError("spatial scale c must be positive")
     ranges = np.indices((i_max,) * d).reshape(d, -1).T
@@ -118,14 +110,13 @@ def build_taper_set(d, i_max, c=DEFAULT_SPATIAL_SCALE, support_eps=DEFAULT_SUPPO
         tuple(int(v) for v in row) for row in ranges if any(v % 2 == 1 for v in row)
     )
     tables = _support_tables(i_max - 1, c)
-    supports = {idx: _scan_support(idx, tables, support_eps) for idx in indices}
     return TaperSet(
         dim=d,
         i_max=i_max,
         spatial_scale=c,
         indices=indices,
-        supports=supports,
-        support_eps=support_eps,
+        max_support=max(_scan_support(i, tables, DEFAULT_SUPPORT_EPS)
+                        for i in indices),
     )
 
 
@@ -152,8 +143,8 @@ def numerical_support(set_, i, eps=None):
     """Smallest sigma such that |psi_i(c x)| <= eps whenever |x|_inf >= sigma.
 
     Found by an outward scan (grid step 0.01) of the separable per-axis
-    bound. eps defaults to 64-bit machine epsilon; the supports cached on
-    the TaperSet use the set's support_eps instead (see DEFAULT_SUPPORT_EPS).
+    bound. eps defaults to 64-bit machine epsilon; a TaperSet's
+    max_support uses DEFAULT_SUPPORT_EPS instead.
     """
     if eps is None:
         eps = _MACHINE_EPS

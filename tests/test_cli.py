@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,36 @@ class TestExitCodes:
         assert main(base + ["--imax", "14"]) == 0
         # the reduced preset caps the interval's taper set at i_max 4
         assert main(base + ["--imax", "14", "--ci-level", "0.95"]) == 0
+
+    def test_imax_one_is_a_domain_error(self, pattern_csv, tmp_path, capsys):
+        # i_max 1 leaves only all-even indices, so no taper survives
+        path, _ = pattern_csv
+        for command in (
+                ["estimate", "--input", path, "--half-width", "12"],
+                ["curve", "--input", path, "--half-width", "12",
+                 "--output", str(tmp_path / "curve.csv")],
+                ["coverage", "--alpha", "0.5", "--half-width", "10",
+                 "--replicates", "2", "--ci-draws", "64"]):
+            assert main(command + ["--imax", "1"]) == 4
+            assert "all-even" in capsys.readouterr().err
+
+    def test_warnings_follow_the_callers_filters(self, pattern_csv,
+                                                 monkeypatch):
+        # main installs no warning filter of its own, so a warning inside a
+        # command is an error wherever the caller made it one
+        import hyperalpha.cli as cli
+        real = cli.estimate_alpha
+
+        def warning(*args, **kwargs):
+            warnings.warn("stub warning", RuntimeWarning)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate_alpha", warning)
+        path, _ = pattern_csv
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="stub warning"):
+                main(["estimate", "--input", path, "--half-width", "12"])
 
 
 class TestEstimate:
@@ -331,6 +362,24 @@ class TestSimulateCommand:
         out = json.loads(capsys.readouterr().out)
         assert np.isfinite(out["alpha_hat"])
 
+    @pytest.mark.parametrize("model", ["cloaked", "matched", "rsa"])
+    def test_dim_one_needs_poisson(self, model, tmp_path, capsys):
+        # these simulators draw 2-D patterns only
+        f = tmp_path / "p.csv"
+        rc = main(["simulate", "--model", model, "--dim", "1",
+                   "--half-width", "10", "--output", str(f)])
+        assert rc == 4
+        assert "2-D" in capsys.readouterr().err
+        assert not f.exists()
+
+    def test_dim_one_poisson(self, tmp_path, capsys):
+        f = tmp_path / "p.csv"
+        rc = main(["simulate", "--model", "poisson", "--dim", "1",
+                   "--half-width", "10", "--output", str(f)])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["dim"] == 1
+        assert read_pattern_csv(f).shape[1] == 1
+
 
 class TestCoverageCommand:
     def test_smoke(self, tmp_path):
@@ -343,6 +392,18 @@ class TestCoverageCommand:
         assert got["replicates"] == 3
         assert 0.0 <= got["coverage"] <= 1.0
         assert got["covered"] <= 3
+
+    def test_zero_replicates_refused_before_simulating(self, monkeypatch,
+                                                       capsys):
+        import hyperalpha.cli as cli
+        calls = []
+        monkeypatch.setattr(cli, "cloaked_lattice",
+                            lambda *args: calls.append(args))
+        rc = main(["coverage", "--alpha", "0.5", "--half-width", "12",
+                   "--replicates", "0", "--ci-draws", "64"])
+        assert rc == 4
+        assert "--replicates" in capsys.readouterr().err
+        assert calls == []
 
     def test_calibration_matches_run_pipeline(self, capsys):
         # coverage calibrates j_min and j_max on its pilot replicate (seed

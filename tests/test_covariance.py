@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
 from hyperalpha import covariance
 from hyperalpha.covariance import (
+    CovBlockMatrix,
     _entries,
     sigma_asymptotic,
     sigma_entry_d2,
@@ -257,6 +260,12 @@ class TestTransientMatrix:
         # structural zeros really are zero
         assert np.all(m.matrix[m.structural_zero] == 0.0)
 
+    def test_structural_zero_is_derived_not_stored(self):
+        # the mask is read from the taper parities on demand, so no n x n
+        # array rides along with every covariance
+        names = {f.name for f in dataclasses.fields(CovBlockMatrix)}
+        assert "structural_zero" not in names
+
     def test_entries_match_scalar_function(self):
         set4 = build_taper_set(2, 4)
         J = np.array([0.6, 0.9])
@@ -310,8 +319,18 @@ class TestAsymptoticMatrix:
         # the limit
         assert np.all(m.matrix[:nI, nI:] == 0.0)
         # the same bytes as scipy's block_diag, signs of zeros included
-        one, _ = covariance._assemble(set4.indices, np.ones(1), 0.8, 1.0)
+        one = covariance._assemble(set4.indices, np.ones(1), 0.8, 1.0)
         assert m.matrix.tobytes() == block_diag(one, one, one).tobytes()
+
+    def test_structural_zero_is_the_parity_rule(self):
+        # the cross-scale blocks vanish in the limit, but only the parity
+        # zeros are structural: the mask is the transient one
+        set4 = build_taper_set(2, 4)
+        J = np.array([0.5, 0.7, 0.9])
+        m = sigma_asymptotic(set4, J, 0.8)
+        want = sigma_transient(set4, J, 0.8, 25.0).structural_zero
+        np.testing.assert_array_equal(m.structural_zero, want)
+        assert not np.all(m.structural_zero[m.matrix == 0.0])
 
     def test_transient_converges_to_asymptotic(self):
         set4 = build_taper_set(2, 4)

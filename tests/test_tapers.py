@@ -1,11 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from hyperalpha.covariance import sigma_entry_d2
+from hyperalpha.errors import DomainError
 from hyperalpha.numerics import quad_radial
 from hyperalpha.tapers import (
+    DEFAULT_SUPPORT_EPS,
+    TaperSet,
     build_taper_set,
     hermite_function_values,
     numerical_support,
@@ -39,6 +43,12 @@ class TestIndexSet:
     def test_every_index_has_an_odd_component(self, set10):
         # all-even index pairs have nonzero integral and are excluded
         assert all(any(c % 2 == 1 for c in i) for i in set10.indices)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_imax_one_is_refused(self, d):
+        # {0}^d holds only the all-even index, so the set would be empty
+        with pytest.raises(DomainError, match="all-even"):
+            build_taper_set(d, 1)
 
 
 class TestHermiteValues:
@@ -105,8 +115,15 @@ class TestNumericalSupport:
 
     def test_set_max_support(self, set10):
         assert set10.max_support == pytest.approx(
-            max(numerical_support(set10, i, eps=set10.support_eps)
+            max(numerical_support(set10, i, eps=DEFAULT_SUPPORT_EPS)
                 for i in set10.indices))
+
+    def test_one_support_value_per_set(self):
+        # the j_max rule reads only the largest support, so no per-taper
+        # table or threshold is kept
+        names = {f.name for f in dataclasses.fields(TaperSet)}
+        assert "max_support" in names
+        assert not names & {"supports", "support_eps"}
 
     def test_wider_for_smaller_eps(self, set10):
         i = (5, 2)
