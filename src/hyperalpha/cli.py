@@ -1,9 +1,9 @@
 """Command line interface: estimate, simulate, curve, coverage.
 
-Exit codes: 0 success, 2 input that cannot be parsed, 3 empty input,
-4 numerical failure or a parameter outside its domain. Output is
-deterministic for a fixed config: JSON keys are sorted and floats
-serialized by repr, so reruns are byte-identical.
+Exit codes: 0 success, 2 input that cannot be parsed, 3 an input frame
+without points (the message names it), 4 numerical failure or a parameter
+outside its domain. Output is deterministic for a fixed config: JSON keys
+are sorted and floats serialized by repr, so reruns are byte-identical.
 """
 
 import argparse
@@ -84,13 +84,11 @@ def _resolve_inputs(spec):
 
 
 def _build_pattern(coords, dim, half_width):
-    if coords.size and coords.shape[1] != dim:
+    if coords.shape[1] != dim:
         raise _ParseFailure(
             f"input has {coords.shape[1]} columns but --dim is {dim}"
         )
     if half_width is None:
-        if coords.size == 0:
-            raise _ParseFailure("--half-width is required for empty input")
         half_width = float(np.max(np.abs(coords)))
         print(f"# window half-width not given; using max |coordinate| = "
               f"{half_width!r}", file=sys.stderr)
@@ -183,11 +181,13 @@ def _common_estimate_args(sub):
 
 
 def _load_patterns(args):
-    """Paths matched by --input and one pattern per path; EmptyInput if no points."""
+    """Paths matched by --input and one pattern per path; EmptyInput names
+    the first path without points, which has no estimate."""
     paths = _resolve_inputs(args.input)
     frames = [read_pattern_csv(p) for p in paths]
-    if sum(len(f) for f in frames) == 0:
-        raise EmptyInput("no points in input")
+    for path, frame in zip(paths, frames):
+        if frame.size == 0:
+            raise EmptyInput(f"{path}: no points")
     return paths, [_build_pattern(f, args.dim, args.half_width) for f in frames]
 
 
@@ -236,6 +236,8 @@ def _cmd_estimate(args):
 
 
 def _cmd_curve(args):
+    if args.poisson_reference < 0:
+        raise DomainError("--poisson-reference must be at least 0")
     _, patterns = _load_patterns(args)
     set_ = build_taper_set(args.dim, args.imax, c=args.taper_scale)
     curves = [curve_C(_normalize(p)[0], set_, DIAGNOSTIC_GRID) for p in patterns]

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateScales, DomainError, EmptyInput, WindowTooSmall
+from .errors import (DegenerateScales, DomainError, EmptyInput, EmptyPattern,
+                     WindowTooSmall)
 from .geometry import estimate_intensity
 from .simulate import poisson
 from .transforms import CurveC, curve_C, transform_grid
@@ -77,11 +78,10 @@ def default_scale_plan(j_min, j_max, n_scales=DEFAULT_N_SCALES):
 
 @dataclass
 class EstimateReport:
-    """One pattern's estimate; run_pipeline attaches its diagnostic curve."""
+    """One nonempty pattern's estimate; run_pipeline attaches its diagnostic
+    curve and the raw intensity (diagnostics["lambda_hat_raw"])."""
 
     alpha_hat: float
-    nonempty: bool
-    lambda_hat: float
     R: float
     plan: ScalePlan | None
     curve: CurveC | None
@@ -92,32 +92,27 @@ class EstimateReport:
 def estimate_alpha(p, set_, plan):
     """Point estimate of the hyperuniformity exponent from one pattern.
 
-    The empty pattern yields alpha_hat = 0 with nonempty=False rather than
-    an error; downstream consumers must check the flag.
+    An empty pattern has no estimate and raises EmptyPattern, as
+    normalize_intensity does; a pattern far from unit intensity warns.
     """
+    if len(p) == 0:
+        raise EmptyPattern("cannot estimate from an empty pattern")
     R = p.half_width
     if not R > 1:
         raise WindowTooSmall(f"window half-width must exceed 1, got {R}")
     lam = estimate_intensity(p)
-    if len(p) and abs(lam - 1.0) > INTENSITY_WARN_TOL:
+    if abs(lam - 1.0) > INTENSITY_WARN_TOL:
         warnings.warn(
             f"pattern intensity {lam:.3f} is far from 1; normalize first",
             stacklevel=2,
-        )
-    if len(p) == 0:
-        return EstimateReport(
-            alpha_hat=0.0, nonempty=False, lambda_hat=0.0, R=R, plan=plan,
-            curve=None, n_points=0,
         )
     tg = transform_grid(p, set_, plan.scales)
     sq = np.sum(tg.values**2, axis=1)
     if np.any(sq == 0.0):
         raise DomainError("squared transform sum vanished on a plan scale")
     alpha = p.dim - float(plan.weights @ np.log(sq)) / np.log(R)
-    return EstimateReport(
-        alpha_hat=alpha, nonempty=True, lambda_hat=lam, R=R, plan=plan,
-        curve=None, n_points=len(p),
-    )
+    return EstimateReport(alpha_hat=alpha, R=R, plan=plan, curve=None,
+                          n_points=len(p))
 
 
 def calibrate_jmax(set_, R):
@@ -224,6 +219,4 @@ def pooled_estimate(reports):
     """Mean alpha_hat over per-frame reports of comparable patterns."""
     if not reports:
         raise EmptyInput("no reports to pool")
-    if any(not r.nonempty for r in reports):
-        raise DomainError("cannot pool reports of empty patterns")
     return float(np.mean([r.alpha_hat for r in reports]))

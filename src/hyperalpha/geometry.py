@@ -30,11 +30,12 @@ class PointPattern:
     """A finite point set inside a centered cubic window.
 
     Points are stored as an (n, d) float64 array. Construction verifies
-    every point lies inside the window (closed boundary, max-norm);
-    violators either raise or are clipped away per the `clip` flag.
+    every point lies inside the window (closed boundary, max-norm) and
+    raises DomainError for one that does not. A pattern may be empty (dim
+    is then required), but normalization and estimation refuse it.
     """
 
-    def __init__(self, points, window, dim=None, clip=False):
+    def __init__(self, points, window, dim=None):
         pts = np.asarray(points, dtype=np.float64)
         if pts.size == 0:
             if dim is None:
@@ -47,15 +48,12 @@ class PointPattern:
         if dim is not None and pts.shape[1] != dim:
             raise DomainError(f"points have dim {pts.shape[1]}, expected {dim}")
         R = window.half_width
-        inside = np.max(np.abs(pts), axis=1) <= R if len(pts) else np.zeros(0, bool)
-        if len(pts) and not inside.all():
-            if clip:
-                pts = pts[inside]
-            else:
-                bad = int(np.argmin(inside))
-                raise DomainError(
-                    f"point {pts[bad]} lies outside the window of half-width {R}"
-                )
+        inside = np.max(np.abs(pts), axis=1, initial=0.0) <= R
+        if not inside.all():
+            bad = int(np.argmin(inside))
+            raise DomainError(
+                f"point {pts[bad]} lies outside the window of half-width {R}"
+            )
         self.points = pts
         self.window = window
         self.dim = pts.shape[1]

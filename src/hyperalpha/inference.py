@@ -45,7 +45,6 @@ class ConfidenceInterval:
     hi: float
     level: float
     alpha_hat: float
-    degenerate: bool = False
 
     def covers(self, alpha):
         return self.lo <= alpha <= self.hi
@@ -138,10 +137,8 @@ def confidence_interval(report, set_, level=0.95, draws=DEFAULT_CI_DRAWS,
 
     The covariance is evaluated at beta = max(alpha_hat, 0) unless a value
     is supplied (simulation studies with known truth pass it directly).
-    An empty-pattern report yields a degenerate [0, 0] interval.
+    The report must carry its scale plan, as estimate_alpha's does.
     """
-    if not report.nonempty:
-        return ConfidenceInterval(0.0, 0.0, level, 0.0, degenerate=True)
     plan = report.plan
     if plan is None:
         raise DomainError("no scale plan available for interval construction")

@@ -95,9 +95,9 @@ def _probe_extent(f, d, directions, r_lo=1e-3, r_hi=200.0, n=240):
 # 1.1 GB at 8192 nodes and 4.3 GB at 16384; d = 1 refinement stops here.
 _GL_MAX_NODES = 8192
 
-# Each d = 2 round multiplies the polar grid by 3.2, so round 9 would hold
-# 357 million points, 5.3 GiB for the points alone; refinement stops before
-# a level above this many (64 MiB).
+# Each d = 2 level multiplies the polar grid by 3.2; refinement stops before
+# a level above this many points (64 MiB), so the fifth level, 3.4 million
+# points, is the last.
 _POLAR_MAX_POINTS = 2**22
 
 
@@ -110,7 +110,7 @@ def _gauss_legendre(n):
     return x, w
 
 
-def quad_radial(integrand, d, tol=1e-9, max_rounds=9):
+def quad_radial(integrand, d, tol=1e-9):
     """Integral of `integrand` over R^d for d in {1, 2}.
 
     The integrand must accept an (m, d) array of points and return m values,
@@ -119,9 +119,9 @@ def quad_radial(integrand, d, tol=1e-9, max_rounds=9):
     Gauss-Legendre on an adaptively chosen symmetric interval.
 
     Refines until two consecutive levels differ by less than tol (absolute);
-    raises NoConvergence when the refinement budget runs out, and before a
-    level would need more than _GL_MAX_NODES nodes (d=1) or
-    _POLAR_MAX_POINTS points (d=2).
+    raises NoConvergence instead of evaluating a level that would need more
+    than _GL_MAX_NODES nodes (d=1, 6 levels) or _POLAR_MAX_POINTS points
+    (d=2, 5 levels).
     """
     if d not in (1, 2):
         raise DomainError("quad_radial supports d in {1, 2}")
@@ -130,9 +130,7 @@ def quad_radial(integrand, d, tol=1e-9, max_rounds=9):
         L = _probe_extent(integrand, 1, dirs)
         prev = None
         n = 256
-        for _ in range(max_rounds):
-            if n > _GL_MAX_NODES:
-                break
+        while n <= _GL_MAX_NODES:
             x, w = _gauss_legendre(n)
             pts = (0.5 * L * (x + 1.0))[:, None]
             val = 0.5 * L * np.sum(w * np.asarray(integrand(pts), dtype=float))
@@ -149,9 +147,7 @@ def quad_radial(integrand, d, tol=1e-9, max_rounds=9):
     r_max = _probe_extent(integrand, 2, dirs)
     prev = None
     n_r, n_t = 128, 256
-    for _ in range(max_rounds):
-        if n_r * n_t > _POLAR_MAX_POINTS:
-            break
+    while n_r * n_t <= _POLAR_MAX_POINTS:
         x, w = _gauss_legendre(n_r)
         r = 0.5 * r_max * (x + 1.0)
         wr = 0.5 * r_max * w * r

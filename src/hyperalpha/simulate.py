@@ -10,6 +10,9 @@ from .errors import DomainError, Unmatchable
 from .geometry import PointPattern, Window
 from .numerics import make_rng
 
+# draws of a matched_process replicate before it raises Unmatchable
+_MATCH_ATTEMPTS = 3
+
 
 def poisson(lam, R, seed, d=2):
     """Homogeneous Poisson pattern of intensity lam on [-R, R]^d."""
@@ -23,26 +26,24 @@ def poisson(lam, R, seed, d=2):
     return PointPattern(pts, Window(half_width=float(R)), dim=d)
 
 
-def one_sided_stable(delta, seed, size=None):
+def one_sided_stable(delta, seed, size):
     """Positive stable draws with Laplace transform exp(-s^delta).
 
     Ratio-of-trig construction: Y = (a(V) / W)^((1-delta)/delta) with V
     uniform, W unit exponential, and
     a(v) = sin((1-d)pi v) sin(d pi v)^(d/(1-d)) / sin(pi v)^(1/(1-d)).
-    At delta = 1 the law degenerates to the constant 1.
+    At delta = 1 the law degenerates to the constant 1. Returns an array
+    of `size` draws.
     """
     if not 0 < delta <= 1:
         raise DomainError("delta must lie in (0, 1]")
-    scalar = size is None
-    n = 1 if scalar else int(size)
+    n = int(size)
     if delta == 1.0:
-        out = np.ones(n)
-        return float(out[0]) if scalar else out
+        return np.ones(n)
     rng = make_rng(seed)
     v = rng.uniform(0.0, 1.0, n)
     w = rng.exponential(1.0, n)
-    out = _kanter(delta, v, w)
-    return float(out[0]) if scalar else out
+    return _kanter(delta, v, w)
 
 
 def _kanter(delta, v, w):
@@ -100,7 +101,7 @@ def cloaked_lattice(alpha, sigma, R, seed):
     return PointPattern(pts[inside], Window(half_width=float(R)), dim=2)
 
 
-def matched_process(lambda_p, R, seed, max_attempts=3):
+def matched_process(lambda_p, R, seed):
     """Mutual nearest-neighbor matching of a Poisson cloud to the unit lattice.
 
     On the torus [-R, R)^2, lattice points and surplus Poisson points are
@@ -117,7 +118,7 @@ def matched_process(lambda_p, R, seed, max_attempts=3):
     if abs(2.0 * R - n_side) > 1e-9:
         raise DomainError("2R must be an integer for a unit lattice tiling")
     spacing = 2.0 * R / n_side
-    for attempt in range(max_attempts):
+    for attempt in range(_MATCH_ATTEMPTS):
         rng = make_rng(seed + 1_000_003 * attempt)
         shift = rng.uniform(0.0, 1.0, 2)
         side = np.arange(n_side, dtype=np.float64)
@@ -131,7 +132,7 @@ def matched_process(lambda_p, R, seed, max_attempts=3):
         matched = _mutual_match(lattice + R, cloud + R, 2.0 * R) - R
         return PointPattern(matched, Window(half_width=float(R)), dim=2)
     raise Unmatchable(
-        f"Poisson cloud smaller than the lattice in {max_attempts} attempts"
+        f"Poisson cloud smaller than the lattice in {_MATCH_ATTEMPTS} attempts"
     )
 
 

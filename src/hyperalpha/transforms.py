@@ -53,17 +53,12 @@ class CurveC:
     grid: np.ndarray
     values: np.ndarray
     R: float
-    taper_set_id: str
 
     def to_csv(self, path):
         with open(path, "w") as fh:
             fh.write("j,C\n")
             for j, v in zip(self.grid, self.values):
                 fh.write(f"{float(j)!r},{float(v)!r}\n")
-
-
-def taper_set_id(set_):
-    return f"hermite(d={set_.dim},imax={set_.i_max},c={set_.spatial_scale!r})"
 
 
 def _taper_sums(pts, mult, idx):
@@ -132,9 +127,5 @@ def curve_C(p, set_, grid):
         bad = float(np.asarray(grid)[int(np.argmax(sq == 0.0))])
         raise ZeroTransformSum(f"all transforms vanished at scale j={bad}")
     values = np.log(sq) / np.log(p.half_width)
-    return CurveC(
-        grid=np.asarray(grid, dtype=np.float64),
-        values=values,
-        R=p.half_width,
-        taper_set_id=taper_set_id(set_),
-    )
+    return CurveC(grid=np.asarray(grid, dtype=np.float64), values=values,
+                  R=p.half_width)

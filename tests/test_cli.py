@@ -102,6 +102,21 @@ class TestExitCodes:
         rc = main(["estimate", "--input", str(path), "--half-width", "10"])
         assert rc == 3
 
+    @pytest.mark.parametrize("window", [[], ["--half-width", "12"]],
+                             ids=["inferred", "given"])
+    def test_empty_frame_in_glob_is_named(self, pattern_csv, tmp_path, capsys,
+                                          window):
+        # one pooled frame without points refuses the whole call as empty
+        # input, naming that frame, whether or not the window is given
+        _, p = pattern_csv
+        write_pattern_csv(tmp_path / "a.csv", p.points)
+        (tmp_path / "b.csv").write_text("# no points\n")
+        for command in (["estimate"],
+                        ["curve", "--output", str(tmp_path / "curve.csv")]):
+            rc = main(command + ["--input", str(tmp_path / "*.csv")] + window)
+            assert rc == 3
+            assert f"{tmp_path / 'b.csv'}: no points" in capsys.readouterr().err
+
     def test_numerical_failure(self, tmp_path, capsys):
         # three points normalize to a window of half-width sqrt(3)/2 < 1,
         # too small for any scale calibration; both commands that normalize
@@ -333,6 +348,18 @@ class TestCurveCommand:
                                 DIAGNOSTIC_GRID).values for k in range(2)],
                        axis=0)
         np.testing.assert_array_equal([row[2] for row in parsed], want)
+
+    def test_negative_poisson_reference_refused(self, pattern_csv, tmp_path,
+                                                monkeypatch, capsys):
+        import hyperalpha.cli as cli
+        calls = []
+        monkeypatch.setattr(cli, "curve_C", lambda *args: calls.append(args))
+        rc = main(["curve", "--input", pattern_csv[0], "--half-width", "12",
+                   "--output", str(tmp_path / "curve.csv"),
+                   "--poisson-reference", "-1"])
+        assert rc == 4
+        assert "--poisson-reference" in capsys.readouterr().err
+        assert calls == []
 
 
 class TestSimulateCommand:

@@ -8,6 +8,7 @@ from hyperalpha.errors import (
     DegenerateScales,
     DomainError,
     EmptyInput,
+    EmptyPattern,
     WindowTooSmall,
 )
 from hyperalpha.estimator import (
@@ -177,12 +178,12 @@ class TestSymmetryInvariance:
 
 class TestEstimateAlpha:
     def test_empty_pattern(self, small_set):
-        p = PointPattern(np.empty((0, 2)), Window(5.0), dim=2)
+        # an empty pattern has no estimate, whatever its window
         plan = default_scale_plan(0.3, 0.9)
-        rpt = estimate_alpha(p, small_set, plan)
-        assert rpt.alpha_hat == 0.0
-        assert not rpt.nonempty
-        assert rpt.n_points == 0
+        for R in (5.0, 1.0):
+            p = PointPattern(np.empty((0, 2)), Window(R), dim=2)
+            with pytest.raises(EmptyPattern):
+                estimate_alpha(p, small_set, plan)
 
     def test_window_too_small(self, small_set):
         p = PointPattern(np.zeros((1, 2)), Window(1.0), dim=2)
@@ -251,8 +252,7 @@ class TestCalibrateJmaxPoisson:
 
 def curve_from_values(grid, vals, R=40.0):
     return CurveC(grid=np.asarray(grid, dtype=float),
-                  values=np.asarray(vals, dtype=float), R=R,
-                  taper_set_id="test")
+                  values=np.asarray(vals, dtype=float), R=R)
 
 
 class TestSelectJmin:
@@ -282,10 +282,9 @@ class TestSelectJmin:
 
 
 class TestPooled:
-    def make_report(self, a, nonempty=True):
-        return EstimateReport(
-            alpha_hat=a, nonempty=nonempty, lambda_hat=1.0, R=40.0,
-            plan=None, curve=None, n_points=100 if nonempty else 0)
+    def make_report(self, a):
+        return EstimateReport(alpha_hat=a, R=40.0, plan=None, curve=None,
+                              n_points=100)
 
     def test_mean(self):
         rpts = [self.make_report(1.0), self.make_report(3.0)]
@@ -297,7 +296,3 @@ class TestPooled:
     def test_empty_list(self):
         with pytest.raises(EmptyInput):
             pooled_estimate([])
-
-    def test_empty_pattern_rejected(self):
-        with pytest.raises(DomainError):
-            pooled_estimate([self.make_report(0.0, nonempty=False)])

@@ -46,11 +46,6 @@ class TestPointPattern:
         with pytest.raises(DomainError):
             square_pattern([[3.0, 0.0]], 2.0)
 
-    def test_clip_keeps_inside(self):
-        p = PointPattern(
-            np.array([[0.5, 0.5], [5.0, 0.0]]), Window(2.0), dim=2, clip=True)
-        assert len(p) == 1
-
     def test_boundary_is_inside(self):
         p = square_pattern([[2.0, -2.0]], 2.0)
         assert len(p) == 1

@@ -336,20 +336,11 @@ class TestPivotQuantiles:
 
 
 def report_stub(alpha_hat, plan, R=25.0):
-    return EstimateReport(
-        alpha_hat=alpha_hat, nonempty=True, lambda_hat=1.0, R=R, plan=plan,
-        curve=None, n_points=600)
+    return EstimateReport(alpha_hat=alpha_hat, R=R, plan=plan, curve=None,
+                          n_points=600)
 
 
 class TestConfidenceInterval:
-    def test_empty_report_degenerate(self):
-        set4 = build_taper_set(2, 4)
-        rpt = EstimateReport(alpha_hat=0.0, nonempty=False, lambda_hat=0.0,
-                             R=25.0, plan=None, curve=None, n_points=0)
-        ci = confidence_interval(rpt, set4)
-        assert (ci.lo, ci.hi) == (0.0, 0.0)
-        assert ci.degenerate
-
     def test_orientation_and_center(self, small_cov):
         set4, plan, _ = small_cov
         rpt = report_stub(0.6, plan)
@@ -378,7 +369,7 @@ class TestConfidenceInterval:
 
     def test_missing_plan_raises(self):
         set4 = build_taper_set(2, 4)
-        rpt = EstimateReport(alpha_hat=0.5, nonempty=True, lambda_hat=1.0,
-                             R=25.0, plan=None, curve=None, n_points=10)
+        rpt = EstimateReport(alpha_hat=0.5, R=25.0, plan=None, curve=None,
+                             n_points=10)
         with pytest.raises(DomainError):
             confidence_interval(rpt, set4, draws=100)

@@ -170,7 +170,7 @@ class TestQuadRadial:
             return np.full(len(k), float(len(calls)))
 
         with pytest.raises(NoConvergence):
-            quad_radial(restless, 1, max_rounds=20)
+            quad_radial(restless, 1)
         assert max(requested) == numerics._GL_MAX_NODES
         assert requested == sorted(set(requested))
 
@@ -185,7 +185,7 @@ class TestQuadRadial:
             return np.full(len(k), float(len(sizes)))
 
         with pytest.raises(NoConvergence):
-            quad_radial(restless, 2, max_rounds=20)
+            quad_radial(restless, 2)
         assert max(sizes) <= numerics._POLAR_MAX_POINTS
 
     def test_memoized_rule_is_leggauss(self):

@@ -39,13 +39,10 @@ class TestPoisson:
 
 class TestOneSidedStable:
     def test_degenerate_at_one(self):
-        assert one_sided_stable(1.0, seed=0) == 1.0
         np.testing.assert_array_equal(one_sided_stable(1.0, seed=0, size=7),
                                       np.ones(7))
 
-    def test_scalar_vs_vector(self):
-        y = one_sided_stable(0.5, seed=3)
-        assert isinstance(y, float) and y > 0
+    def test_vector_draws(self):
         ys = one_sided_stable(0.5, seed=3, size=100)
         assert ys.shape == (100,) and np.all(ys > 0)
 
@@ -59,9 +56,9 @@ class TestOneSidedStable:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            one_sided_stable(0.0, seed=0)
+            one_sided_stable(0.0, seed=0, size=1)
         with pytest.raises(DomainError):
-            one_sided_stable(1.2, seed=0)
+            one_sided_stable(1.2, seed=0, size=1)
 
 
 class TestCloakedLattice:

@@ -7,7 +7,6 @@ from hyperalpha.simulate import poisson
 from hyperalpha.tapers import build_taper_set, taper_eval
 from hyperalpha.transforms import (
     curve_C,
-    taper_set_id,
     transform_grid,
     wavelet_transform,
 )
@@ -115,7 +114,6 @@ class TestCurveC:
         g = transform_grid(p, set10, grid)
         expect = np.log((g.values ** 2).sum(axis=1)) / np.log(9.0)
         np.testing.assert_allclose(cv.values, expect, rtol=1e-12)
-        assert cv.taper_set_id == taper_set_id(set10)
 
     def test_zero_sum_raises_empty(self, set10):
         p = PointPattern(np.empty((0, 2)), Window(4.0), dim=2)
