@@ -9,6 +9,9 @@ are sorted and floats serialized by repr, so reruns are byte-identical.
 import argparse
 import glob
 import json
+# argparse's gettext imports locale when main() builds the first parser;
+# imported here, that load is part of the import, as numpy's are
+import locale  # noqa: F401
 import sys
 import warnings
 
@@ -23,7 +26,8 @@ from .estimator import (DIAGNOSTIC_GRID, calibrate_jmax,
                         select_jmin)
 from .geometry import PointPattern, Window, normalize_intensity
 from .inference import (DEFAULT_CI_DRAWS, REDUCED_CI_IMAX, REDUCED_CI_NSCALES,
-                        confidence_interval, pivot_quantiles)
+                        check_ci_request, confidence_interval,
+                        pivot_quantiles)
 from .simulate import cloaked_lattice, matched_process, poisson, rsa
 from .tapers import DEFAULT_SPATIAL_SCALE, build_taper_set
 from .transforms import curve_C
@@ -138,8 +142,11 @@ def run_pipeline(pattern, i_max=10, taper_scale=DEFAULT_SPATIAL_SCALE,
 
     When an interval is requested the reduced preset drives both the point
     estimate and the interval (so the interval is centered correctly);
-    ci_full opts into full-size covariance sampling instead.
+    ci_full opts into full-size covariance sampling instead. The interval's
+    level and draw count are checked before any work.
     """
+    if ci_level is not None:
+        check_ci_request(ci_level, ci_draws)
     normalized, record = _normalize(pattern)
     reduced = ci_level is not None and not ci_full
     est_set, plan, curve, j_min, j_max = _calibrate(
@@ -298,6 +305,7 @@ def _cmd_coverage(args):
     R = args.half_width
     if args.replicates < 1:
         raise DomainError("--replicates must be at least 1")
+    check_ci_request(level, args.ci_draws)
 
     def simulate_one(rep):
         return cloaked_lattice(true_alpha, args.sigma, R, args.seed + rep)

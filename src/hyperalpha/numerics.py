@@ -11,7 +11,9 @@ from functools import lru_cache
 from math import factorial, pi, sqrt
 
 import numpy as np
-from scipy.special import polygamma
+# numpy 2 loads numpy.random on first attribute access; importing it here
+# keeps that load in the package import, not in the first simulation
+from numpy.random import Generator, Philox, SeedSequence
 
 from .errors import DomainError, NoConvergence, NotPsd, Overflow
 
@@ -22,6 +24,9 @@ def trigamma(m):
     """Trigamma psi1(m) for real m >= 1."""
     if m < 1:
         raise DomainError(f"trigamma requires m >= 1, got {m}")
+    # imported here: scipy.special would be a third of every CLI start-up,
+    # and no CLI path calls trigamma
+    from scipy.special import polygamma
     return float(polygamma(1, m))
 
 
@@ -341,9 +346,9 @@ def make_rng(seed):
     bit generator; all randomness in the package flows through here so a
     single integer seed pins every draw.
     """
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return Generator(Philox(SeedSequence(seed)))
 
 
 def spawn_seed_sequences(seed, n):
     """n independent child SeedSequences of a root seed (stable spawn keys)."""
-    return np.random.SeedSequence(seed).spawn(n)
+    return SeedSequence(seed).spawn(n)

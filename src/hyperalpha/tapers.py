@@ -35,17 +35,26 @@ def hermite_function_values(n_max, y):
     are stored first, as an (n_max + 1,) + y.shape array, so each step of
     the recurrence writes one contiguous slab; the return value is a view
     of shape y.shape + (n_max + 1,) that puts the order on the last axis.
+    Each step is written into its slab in place, through one scratch slab,
+    as (a_n y) psi_n - b_n psi_(n-1), so no step allocates.
     """
     y = np.asarray(y, dtype=np.float64)
     out = np.empty((n_max + 1,) + y.shape)
-    out[0] = np.pi ** -0.25 * np.exp(-0.5 * y * y)
+    # one row per order; rows are views, also for a 0-d y
+    psi, flat_y = out.reshape(n_max + 1, -1), y.reshape(-1)
+    np.multiply(-0.5, flat_y, out=psi[0])
+    np.multiply(psi[0], flat_y, out=psi[0])
+    np.exp(psi[0], out=psi[0])
+    np.multiply(np.pi ** -0.25, psi[0], out=psi[0])
     if n_max >= 1:
-        out[1] = np.sqrt(2.0) * y * out[0]
+        np.multiply(np.sqrt(2.0), flat_y, out=psi[1])
+        np.multiply(psi[1], psi[0], out=psi[1])
+    scratch = np.empty_like(flat_y)
     for n in range(1, n_max):
-        out[n + 1] = (
-            np.sqrt(2.0 / (n + 1)) * y * out[n]
-            - np.sqrt(n / (n + 1.0)) * out[n - 1]
-        )
+        np.multiply(np.sqrt(2.0 / (n + 1)), flat_y, out=psi[n + 1])
+        np.multiply(psi[n + 1], psi[n], out=psi[n + 1])
+        np.multiply(np.sqrt(n / (n + 1.0)), psi[n - 1], out=scratch)
+        np.subtract(psi[n + 1], scratch, out=psi[n + 1])
     return np.moveaxis(out, 0, -1)
 
 

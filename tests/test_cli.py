@@ -133,6 +133,22 @@ class TestExitCodes:
             assert "3 points in 2-D" in err
             assert "normalized window half-width of 0.866" in err
 
+    @pytest.mark.parametrize("bad", [["--ci-level", "1.5"],
+                                     ["--ci-draws", "0"]])
+    def test_bad_ci_request_refused_before_work(self, pattern_csv, bad,
+                                                monkeypatch, capsys):
+        import hyperalpha.cli as cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the curve ran before the CI was checked")
+
+        monkeypatch.setattr(cli, "curve_C", unreachable)
+        path, _ = pattern_csv
+        rc = main(["estimate", "--input", path, "--half-width", "12",
+                   "--ci-level", "0.95", *bad])
+        assert rc == 4
+        assert "error:" in capsys.readouterr().err
+
     def test_taper_order_limit_with_full_ci(self, pattern_csv, capsys):
         # orders up to i_max - 1; above 12 the closed-form covariance loses
         # precision, so a full-preset interval is refused there
@@ -432,6 +448,20 @@ class TestCoverageCommand:
         assert "--replicates" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("bad", [["--ci-level", "0"],
+                                     ["--ci-draws", "0"]])
+    def test_bad_ci_request_refused_before_simulating(self, bad, monkeypatch,
+                                                      capsys):
+        import hyperalpha.cli as cli
+        calls = []
+        monkeypatch.setattr(cli, "cloaked_lattice",
+                            lambda *args: calls.append(args))
+        rc = main(["coverage", "--alpha", "0.5", "--half-width", "12",
+                   "--replicates", "2", "--ci-draws", "64", *bad])
+        assert rc == 4
+        assert "error:" in capsys.readouterr().err
+        assert calls == []
+
     def test_calibration_matches_run_pipeline(self, capsys):
         # coverage calibrates j_min and j_max on its pilot replicate (seed
         # --seed) the way estimate calibrates that pattern
@@ -468,12 +498,49 @@ def test_console_script_version():
     assert proc.returncode == 0
 
 
-def test_cli_import_skips_scipy_linalg_and_spatial():
-    # neither is on the estimate path: the sampler factors with numpy's
-    # eigh, and only matched_process needs a k-d tree
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, hyperalpha.cli; print(sorted("
-         "m for m in ('scipy.linalg', 'scipy.spatial') if m in sys.modules))"],
-        capture_output=True, text=True)
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, json, os, sys
+import hyperalpha.cli as cli
+imported = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+sys.modules["scipy"] = None  # any scipy import from here on fails
+tmp = sys.argv[1]
+p2, p1 = os.path.join(tmp, "p2.csv"), os.path.join(tmp, "p1.csv")
+small = ["--imax", "4", "--nscales", "8"]
+ci = ["--ci-level", "0.95", "--ci-draws", "64"]
+calls = [
+    ["simulate", "--model", "cloaked", "--half-width", "10", "--seed", "1",
+     "--output", p2],
+    ["simulate", "--model", "poisson", "--dim", "1", "--half-width", "50",
+     "--seed", "1", "--output", p1],
+    ["estimate", "--input", p2, "--half-width", "10", *small],
+    ["estimate", "--input", p2, "--half-width", "10", *small, *ci],
+    ["estimate", "--input", p1, "--dim", "1", "--half-width", "50",
+     "--nscales", "8", *ci],
+    ["curve", "--input", p2, "--half-width", "10", "--imax", "4",
+     "--output", os.path.join(tmp, "curve.csv")],
+    ["coverage", "--alpha", "1.0", "--half-width", "10", "--replicates", "2",
+     *small, "--ci-draws", "64"],
+]
+runs = []
+for argv in calls:
+    before = set(sys.modules)
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    loaded = sorted(set(sys.modules) - before)
+    runs.append([argv[0], rc, loaded])
+print(json.dumps({"imported": imported, "runs": runs}))
+"""
+
+
+def test_cli_import_skips_scipy_linalg_and_spatial(tmp_path):
+    # importing the CLI loads no scipy module at all, and every command but
+    # simulate --model matched (a k-d tree) runs with scipy unimportable;
+    # no command loads a module of its own, so import time stays out of
+    # main(): the package import loads what numpy 2 and argparse load
+    # lazily (numpy.random, numpy.ma, locale)
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT,
+                           str(tmp_path)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    got = json.loads(proc.stdout)
+    assert got["imported"] == []
+    assert [run[1:] for run in got["runs"]] == [[0, []]] * 7, got["runs"]

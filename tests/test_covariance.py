@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
+from scipy.special import gamma
 
 from hyperalpha import covariance
 from hyperalpha.covariance import (
@@ -110,6 +111,21 @@ class TestEntryExactCases:
             sigma_entry_d2((0, 1), (0, 1), 0.5, 0.5, 0.0, 0.5)
         with pytest.raises(DomainError):
             sigma_entry_d2((0, 1), (0, 1), -0.5, 0.5, 0.0, 10.0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_gamma_matches_scipy(d):
+    # the arguments the i_max = 10 tables take: half-integers in the
+    # degree tables, (d + beta + L1 + L2) / 2 in the scale kernel
+    n = 10
+    n_total = 2 * (d * (n - 1) + 1) - 1
+    args = [(np.arange(2 * n - 1) + 1) / 2.0, (np.arange(n_total) + d) / 2.0]
+    args += [(d + beta + np.arange(n_total)) / 2.0
+             for beta in (0.0, 0.37, 1.1308, 2.0, 3.7)]
+    for x in args:
+        want = gamma(x)
+        assert np.all(np.abs(covariance._gamma(x) - want)
+                      <= 4 * np.spacing(want)), x
 
 
 class TestEntryOracle:
@@ -297,6 +313,9 @@ class TestTransientMatrix:
             sigma_transient(set4, np.array([0.5, 0.8]), -0.1, 25.0)
         with pytest.raises(DomainError):
             sigma_transient(set4, np.array([0.5, 0.8]), 0.5, 1.0)
+        # Gamma((2 + 400) / 2) = 200! is past the float range
+        with pytest.raises(Overflow, match="beta too large"):
+            sigma_transient(set4, np.array([0.5, 0.8]), 400.0, 25.0)
 
 
 class TestAsymptoticMatrix:
