@@ -9,6 +9,7 @@ Each curve is also written to curve_<name>.csv for plotting.
 
 import numpy as np
 
+from hyperalpha.cli import write_csv
 from hyperalpha.estimator import DIAGNOSTIC_GRID, calibrate_jmax, select_jmin
 from hyperalpha.geometry import normalize_intensity
 from hyperalpha.simulate import cloaked_lattice, matched_process, poisson
@@ -41,7 +42,8 @@ def main():
         mask = (curve.grid >= j_min) & (curve.grid <= j_max)
         slope = np.polyfit(curve.grid[mask], curve.values[mask], 1)[0]
         print(f"{name:<28} {j_min:5.2f} {slope:7.2f} {2.0 - slope:14.2f}")
-        curve.to_csv(f"curve_{name.split()[0]}.csv")
+        write_csv(f"curve_{name.split()[0]}.csv",
+                  np.column_stack([curve.grid, curve.values]), header="j,C")
     print("\nper-process curves written to curve_<name>.csv")
 
 

@@ -20,19 +20,19 @@ import numpy as np
 from . import __version__
 from .errors import (DomainError, EmptyInput, EmptyPattern, HyperalphaError,
                      WindowTooSmall)
-from .estimator import (DIAGNOSTIC_GRID, calibrate_jmax,
+from .estimator import (DEFAULT_N_SCALES, DIAGNOSTIC_GRID, calibrate_jmax,
                         calibrate_jmax_poisson, default_scale_plan,
                         estimate_alpha, poisson_curves, pooled_estimate,
                         select_jmin)
 from .geometry import PointPattern, Window, normalize_intensity
-from .inference import (DEFAULT_CI_DRAWS, REDUCED_CI_IMAX, REDUCED_CI_NSCALES,
-                        check_ci_request, confidence_interval,
-                        pivot_quantiles)
+from .inference import (DEFAULT_CI_DRAWS, check_ci_request,
+                        confidence_interval, pivot_quantiles)
 from .simulate import cloaked_lattice, matched_process, poisson, rsa
 from .tapers import DEFAULT_SPATIAL_SCALE, build_taper_set
 from .transforms import curve_C
 
 SCHEMA_VERSION = 1
+DEFAULT_IMAX = 10
 
 
 class _ParseFailure(Exception):
@@ -74,11 +74,14 @@ def _read_rows(fh, path):
     return np.array(rows, dtype=np.float64, ndmin=2)
 
 
-def write_pattern_csv(path, points, comments=()):
+def write_csv(path, rows, comments=(), header=None):
+    """'# ' comment lines, an optional header, then rows of repr(float) values."""
     with open(path, "w") as fh:
         for c in comments:
             fh.write(f"# {c}\n")
-        for row in np.atleast_2d(points):
+        if header is not None:
+            fh.write(header + "\n")
+        for row in np.atleast_2d(rows):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
@@ -115,6 +118,15 @@ def _normalize(pattern):
     return normalized, record
 
 
+# Reduced preset for interval construction: the covariance is assembled and
+# sampled at i_max = 4 (12 tapers) over 25 scales, and the point estimate is
+# taken on the same preset so the interval is centered on it. Full size is
+# opt-in; dropping the reduced preset would move every reduced-preset
+# estimate, coverage's included.
+REDUCED_CI_IMAX = 4
+REDUCED_CI_NSCALES = 25
+
+
 def _calibrate(normalized, i_max, taper_scale, j_min, j_max, n_scales, reduced):
     """Estimation taper set, plan, curve, j_min and j_max of a normalized pattern.
 
@@ -135,8 +147,8 @@ def _calibrate(normalized, i_max, taper_scale, j_min, j_max, n_scales, reduced):
     return est_set, plan, curve, j_min, j_max
 
 
-def run_pipeline(pattern, i_max=10, taper_scale=DEFAULT_SPATIAL_SCALE,
-                 j_min=None, j_max=None, n_scales=50, ci_level=None,
+def run_pipeline(pattern, i_max=DEFAULT_IMAX, taper_scale=DEFAULT_SPATIAL_SCALE,
+                 j_min=None, j_max=None, n_scales=DEFAULT_N_SCALES, ci_level=None,
                  ci_draws=DEFAULT_CI_DRAWS, ci_full=False, seed=0):
     """Normalize, calibrate scales, pick the knee, estimate, optionally CI.
 
@@ -173,23 +185,23 @@ def _emit(obj, out_path):
         sys.stdout.write(text)
 
 
-def _common_estimate_args(sub):
+def _pattern_args(sub):
+    """The arguments of estimate and curve, the commands that read a pattern."""
     sub.add_argument("--input", required=True,
                      help="CSV of coordinates; glob patterns pool frames")
     sub.add_argument("--dim", type=int, default=2, choices=(1, 2))
     sub.add_argument("--half-width", type=float, default=None)
-    sub.add_argument("--imax", type=int, default=10)
+    sub.add_argument("--imax", type=int, default=DEFAULT_IMAX)
     sub.add_argument("--taper-scale", type=float, default=DEFAULT_SPATIAL_SCALE)
-    sub.add_argument("--jmin", type=float, default=None)
-    sub.add_argument("--jmax", type=float, default=None)
-    sub.add_argument("--nscales", type=int, default=50)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--output", default=None, help="write JSON here (default stdout)")
 
 
 def _load_patterns(args):
     """Paths matched by --input and one pattern per path; EmptyInput names
     the first path without points, which has no estimate."""
+    if args.half_width is not None and not 0 < args.half_width < np.inf:
+        raise DomainError("--half-width must be positive and finite, "
+                          f"got {args.half_width!r}")
     paths = _resolve_inputs(args.input)
     frames = [read_pattern_csv(p) for p in paths]
     for path, frame in zip(paths, frames):
@@ -216,7 +228,8 @@ def _cmd_estimate(args):
     lead = reports[0]
     curve_path = None
     if args.curve_output:
-        lead.curve.to_csv(args.curve_output)
+        write_csv(args.curve_output, np.column_stack(
+            [lead.curve.grid, lead.curve.values]), header="j,C")
         curve_path = args.curve_output
     out = {
         "schema_version": SCHEMA_VERSION,
@@ -248,21 +261,16 @@ def _cmd_curve(args):
     _, patterns = _load_patterns(args)
     set_ = build_taper_set(args.dim, args.imax, c=args.taper_scale)
     curves = [curve_C(_normalize(p)[0], set_, DIAGNOSTIC_GRID) for p in patterns]
-    mean_vals = np.mean([c.values for c in curves], axis=0)
-    reference = None
+    columns = [DIAGNOSTIC_GRID, np.mean([c.values for c in curves], axis=0)]
+    header = "j,C"
     if args.poisson_reference:
-        reference = poisson_curves(set_, curves[0].R, args.poisson_reference,
-                                   seed=args.seed + 10_000).mean(axis=0)
-    with open(args.output, "w") as fh:
-        fh.write(f"# diagnostic curve, schema_version={SCHEMA_VERSION}\n")
-        fh.write(f"# R={float(curves[0].R)!r} frames={len(curves)}\n")
-        header = "j,C" + (",C_poisson" if reference is not None else "")
-        fh.write(header + "\n")
-        for k, j in enumerate(DIAGNOSTIC_GRID):
-            row = f"{float(j)!r},{float(mean_vals[k])!r}"
-            if reference is not None:
-                row += f",{float(reference[k])!r}"
-            fh.write(row + "\n")
+        columns.append(poisson_curves(set_, curves[0].R, args.poisson_reference,
+                                      seed=args.seed + 10_000).mean(axis=0))
+        header += ",C_poisson"
+    write_csv(args.output, np.column_stack(columns),
+              comments=[f"diagnostic curve, schema_version={SCHEMA_VERSION}",
+                        f"R={float(curves[0].R)!r} frames={len(curves)}"],
+              header=header)
     return 0
 
 
@@ -294,7 +302,7 @@ def _cmd_simulate(args):
         "output": args.output,
     }
     comments = [f"model={args.model} seed={args.seed} half_width={R!r}"]
-    write_pattern_csv(args.output, pattern.points, comments)
+    write_csv(args.output, pattern.points, comments)
     _emit(meta, None)
     return 0
 
@@ -310,7 +318,7 @@ def _cmd_coverage(args):
     def simulate_one(rep):
         return cloaked_lattice(true_alpha, args.sigma, R, args.seed + rep)
 
-    pilot, _ = normalize_intensity(simulate_one(0))
+    pilot, _ = _normalize(simulate_one(0))
     est_set, plan, _, j_min, j_max = _calibrate(
         pilot, args.imax, DEFAULT_SPATIAL_SCALE, j_min=None, j_max=None,
         n_scales=args.nscales, reduced=True)
@@ -322,7 +330,7 @@ def _cmd_coverage(args):
     covered = 0
     alphas = []
     for rep in range(args.replicates):
-        norm, _ = normalize_intensity(simulate_one(rep))
+        norm, _ = _normalize(simulate_one(rep))
         report = estimate_alpha(norm, est_set, plan)
         pivot = np.log(report.R) * (report.alpha_hat - true_alpha)
         covered += bool(q_lo <= pivot <= q_hi)
@@ -365,7 +373,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     est = sub.add_parser("estimate", help="estimate the exponent from a CSV pattern")
-    _common_estimate_args(est)
+    _pattern_args(est)
+    est.add_argument("--jmin", type=float, default=None)
+    est.add_argument("--jmax", type=float, default=None)
+    est.add_argument("--nscales", type=int, default=DEFAULT_N_SCALES)
+    est.add_argument("--output", default=None, help="write JSON here (default stdout)")
     est.add_argument("--ci-level", type=float, default=None,
                      help="confidence level, e.g. 0.95; omitting skips the CI")
     est.add_argument("--ci-draws", type=int, default=DEFAULT_CI_DRAWS)
@@ -379,12 +391,7 @@ def build_parser():
     est.set_defaults(func=_cmd_estimate)
 
     cur = sub.add_parser("curve", help="write the diagnostic curve C(j) as CSV")
-    cur.add_argument("--input", required=True)
-    cur.add_argument("--dim", type=int, default=2, choices=(1, 2))
-    cur.add_argument("--half-width", type=float, default=None)
-    cur.add_argument("--imax", type=int, default=10)
-    cur.add_argument("--taper-scale", type=float, default=DEFAULT_SPATIAL_SCALE)
-    cur.add_argument("--seed", type=int, default=0)
+    _pattern_args(cur)
     cur.add_argument("--output", required=True)
     cur.add_argument("--poisson-reference", type=int, default=0, metavar="N",
                      help="append the mean curve of N Poisson replicates")
@@ -412,8 +419,8 @@ def build_parser():
     cov.add_argument("--sigma", type=float, default=0.25)
     cov.add_argument("--half-width", type=float, required=True)
     cov.add_argument("--replicates", type=int, default=100)
-    cov.add_argument("--imax", type=int, default=10)
-    cov.add_argument("--nscales", type=int, default=50)
+    cov.add_argument("--imax", type=int, default=DEFAULT_IMAX)
+    cov.add_argument("--nscales", type=int, default=DEFAULT_N_SCALES)
     cov.add_argument("--ci-level", type=float, default=0.95)
     cov.add_argument("--ci-draws", type=int, default=DEFAULT_CI_DRAWS)
     cov.add_argument("--seed", type=int, default=0)

@@ -172,11 +172,12 @@ class CovBlockMatrix:
     """Dense symmetric covariance with scale-major row layout.
 
     Row convention: row = scale_index * |I| + taper_index, matching how
-    transform vectors are flattened for sampling. structural_zero and swap
-    are derived from the taper indices when read; neither is stored.
+    transform vectors are flattened for sampling. index_map, swap and
+    structural_zero are derived from the indices and scales when read.
     """
 
-    index_map: tuple
+    indices: tuple
+    scales: np.ndarray
     matrix: np.ndarray
     beta: float
     R: float
@@ -186,14 +187,14 @@ class CovBlockMatrix:
         return self.matrix.shape[0]
 
     @property
-    def _tapers(self):
-        return list(dict.fromkeys(i for i, _ in self.index_map))
+    def index_map(self):
+        """(taper index, scale) of each row."""
+        return tuple((i, float(j)) for j in self.scales for i in self.indices)
 
     @property
     def structural_zero(self):
         """n x n mask of the entries that vanish by parity (_parity_zero)."""
-        tapers = self._tapers
-        return np.tile(_parity_zero(tapers), (self.dim // len(tapers),) * 2)
+        return np.tile(_parity_zero(self.indices), (len(self.scales),) * 2)
 
     @property
     def swap(self):
@@ -203,15 +204,10 @@ class CovBlockMatrix:
         invariant under it. None in d = 1, or when the tapers are not
         closed under the swap.
         """
-        tapers = self._tapers
-        sw = _taper_swap(tapers)
+        sw = _taper_swap(self.indices)
         if sw is None:
             return None
-        return (np.arange(0, self.dim, len(tapers))[:, None] + sw).ravel()
-
-
-def _layout(indices, J):
-    return tuple((i, float(j)) for j in J for i in indices)
+        return (np.arange(0, self.dim, len(self.indices))[:, None] + sw).ravel()
 
 
 def _parity_zero(indices):
@@ -282,7 +278,7 @@ def sigma_transient(set_, J, beta, R):
     if beta < 0:
         raise DomainError("beta must be nonnegative")
     return CovBlockMatrix(
-        index_map=_layout(set_.indices, J),
+        indices=set_.indices, scales=J,
         matrix=_assemble(set_.indices, J, beta, R),
         beta=float(beta),
         R=float(R),
@@ -303,7 +299,7 @@ def sigma_asymptotic(set_, J, alpha):
     matrix = np.zeros((len(J), n, len(J), n))
     matrix[ar, :, ar, :] = block
     return CovBlockMatrix(
-        index_map=_layout(set_.indices, J),
+        indices=set_.indices, scales=J,
         matrix=matrix.reshape(len(J) * n, -1),
         beta=float(alpha),
         R=np.inf,

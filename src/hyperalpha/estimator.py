@@ -106,11 +106,8 @@ def estimate_alpha(p, set_, plan):
             f"pattern intensity {lam:.3f} is far from 1; normalize first",
             stacklevel=2,
         )
-    tg = transform_grid(p, set_, plan.scales)
-    sq = np.sum(tg.values**2, axis=1)
-    if np.any(sq == 0.0):
-        raise DomainError("squared transform sum vanished on a plan scale")
-    alpha = p.dim - float(plan.weights @ np.log(sq)) / np.log(R)
+    log_sq = transform_grid(p, set_, plan.scales).log_square_sums()
+    alpha = p.dim - float(plan.weights @ log_sq) / np.log(R)
     return EstimateReport(alpha_hat=alpha, R=R, plan=plan, curve=None,
                           n_points=len(p))
 

@@ -19,8 +19,9 @@ class Window:
     half_width: float
 
     def __post_init__(self):
-        if not self.half_width > 0:
-            raise DomainError(f"window half-width must be positive, got {self.half_width}")
+        if not 0 < self.half_width < np.inf:
+            raise DomainError("window half-width must be positive and finite, "
+                              f"got {self.half_width}")
 
     def volume(self, dim):
         return (2.0 * self.half_width) ** dim

@@ -12,25 +12,17 @@ import numpy as np
 # np.quantile loads numpy.ma on its first call; imported here, that load
 # stays in the package import, not in the first interval
 import numpy.ma  # noqa: F401
-from numpy.random import Generator, Philox
+from numpy.random import Generator, Philox, SeedSequence
 
 from .covariance import sigma_transient
 from .errors import DomainError, ZeroTransformSum
-from .numerics import psd_factor, spawn_seed_sequences
+from .numerics import psd_factor
 
 _BLOCK_DRAWS = 4096
 # a chunk of normals holds at most this many (16 MiB), or a single row
 _CHUNK_NORMALS = 2**21
 
 DEFAULT_CI_DRAWS = 20000
-
-# Reduced preset for interval construction: the covariance is assembled and
-# sampled at i_max = 4 (12 tapers) over 25 scales, and the point estimate is
-# taken on the same preset so the interval is centered on it. Full size is
-# opt-in; dropping the reduced preset would move every reduced-preset
-# estimate, coverage's included.
-REDUCED_CI_IMAX = 4
-REDUCED_CI_NSCALES = 25
 
 
 @dataclass(frozen=True)
@@ -98,7 +90,7 @@ def sample_Z(cov, plan, count, seed):
     while chunk > 1 and chunk * cov.dim > _CHUNK_NORMALS:
         chunk //= 2
     w = plan.weights
-    children = spawn_seed_sequences(seed, -(-count // _BLOCK_DRAWS))
+    children = SeedSequence(seed).spawn(-(-count // _BLOCK_DRAWS))
     out = np.empty(count)
     done = 0
     for child in children:

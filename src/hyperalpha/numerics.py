@@ -347,8 +347,3 @@ def make_rng(seed):
     single integer seed pins every draw.
     """
     return Generator(Philox(SeedSequence(seed)))
-
-
-def spawn_seed_sequences(seed, n):
-    """n independent child SeedSequences of a root seed (stable spawn keys)."""
-    return SeedSequence(seed).spawn(n)

@@ -16,10 +16,11 @@ _MATCH_ATTEMPTS = 3
 
 def poisson(lam, R, seed, d=2):
     """Homogeneous Poisson pattern of intensity lam on [-R, R]^d."""
-    if lam < 0:
-        raise DomainError("intensity must be nonnegative")
-    if R <= 0:
-        raise DomainError("half-width must be positive")
+    # NaN fails every check; the expected count lam * (2R)^d must be finite
+    if not 0 <= lam < np.inf:
+        raise DomainError(f"intensity must be finite and nonnegative, got {lam}")
+    if not 0 < R < np.inf:
+        raise DomainError(f"half-width must be finite and positive, got {R}")
     rng = make_rng(seed)
     n = rng.poisson(lam * (2.0 * R) ** d)
     pts = rng.uniform(-R, R, size=(n, d))
@@ -68,10 +69,10 @@ def cloaked_lattice(alpha, sigma, R, seed):
     """
     if not 0 < alpha <= 2:
         raise DomainError("alpha must lie in (0, 2]")
-    if sigma <= 0:
-        raise DomainError("sigma must be positive")
-    if R <= 1:
-        raise DomainError("half-width must exceed 1")
+    if not 0 < sigma < np.inf:
+        raise DomainError(f"sigma must be finite and positive, got {sigma}")
+    if not 1 < R < np.inf:
+        raise DomainError(f"half-width must be finite and exceed 1, got {R}")
     delta = alpha / 2.0
     if delta >= 1.0:
         margin = 6.0 * sigma
@@ -110,10 +111,11 @@ def matched_process(lambda_p, R, seed):
     lattice site. Needs lambda_p > 1 so the cloud outnumbers the lattice;
     a replicate whose cloud comes up short is redrawn, a few times only.
     """
-    if lambda_p <= 1:
-        raise DomainError("lambda_p must exceed 1 (lattice intensity)")
-    if R <= 1:
-        raise DomainError("half-width must exceed 1")
+    if not 1 < lambda_p < np.inf:
+        raise DomainError("lambda_p must be finite and exceed 1 (lattice "
+                          f"intensity), got {lambda_p}")
+    if not 1 < R < np.inf:
+        raise DomainError(f"half-width must be finite and exceed 1, got {R}")
     n_side = int(round(2.0 * R))
     if abs(2.0 * R - n_side) > 1e-9:
         raise DomainError("2R must be an integer for a unit lattice tiling")
@@ -173,8 +175,13 @@ def rsa(lambda_prop, r, R, seed):
     r is the hard-core distance between accepted centres (disks of
     diameter r), not a disk radius.
     """
-    if lambda_prop <= 0 or r < 0 or R <= 0:
-        raise DomainError("rsa needs lambda_prop > 0, r >= 0, R > 0")
+    # r = inf is allowed: the first arrival blocks every later one
+    if not 0 < lambda_prop < np.inf:
+        raise DomainError(f"rsa needs a finite lambda_prop > 0, got {lambda_prop}")
+    if not r >= 0:
+        raise DomainError(f"rsa needs a hard-core distance r >= 0, got {r}")
+    if not 0 < R < np.inf:
+        raise DomainError(f"rsa needs a finite half-width R > 0, got {R}")
     rng = make_rng(seed)
     n = rng.poisson(lambda_prop * (2.0 * R) ** 2)
     pts = rng.uniform(-R, R, (n, 2))

@@ -45,6 +45,15 @@ class TransformGrid:
     values: np.ndarray
     R: float
 
+    def log_square_sums(self):
+        """log sum_i T_j(f_i, R)^2 for each scale j; ZeroTransformSum names
+        the first scale where every transform vanished."""
+        sq = np.sum(self.values**2, axis=1)
+        if np.any(sq == 0.0):
+            bad = float(self.scales[int(np.argmax(sq == 0.0))])
+            raise ZeroTransformSum(f"all transforms vanished at scale j={bad}")
+        return np.log(sq)
+
 
 @dataclass(frozen=True)
 class CurveC:
@@ -53,12 +62,6 @@ class CurveC:
     grid: np.ndarray
     values: np.ndarray
     R: float
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("j,C\n")
-            for j, v in zip(self.grid, self.values):
-                fh.write(f"{float(j)!r},{float(v)!r}\n")
 
 
 def _taper_sums(pts, mult, idx):
@@ -78,11 +81,9 @@ def _taper_sums(pts, mult, idx):
             s = mult[lo:lo + _SCALE_CHUNK, None]
             H = [hermite_function_values(n_max, s * block[:, l])
                  for l in range(idx.shape[1])]
-            if len(H) == 1:
-                out[lo:lo + len(s)] += H[0].sum(axis=1)[:, idx[:, 0]]
-            else:
-                G = np.matmul(H[0].swapaxes(1, 2), H[1])
-                out[lo:lo + len(s)] += G[:, idx[:, 0], idx[:, 1]]
+            G = H[0].sum(axis=1) if len(H) == 1 else \
+                np.matmul(H[0].swapaxes(1, 2), H[1])
+            out[lo:lo + len(s)] += G[(slice(None), *idx.T)]
     return out
 
 
@@ -122,10 +123,5 @@ def transform_grid(p, set_, J):
 def curve_C(p, set_, grid):
     """C(j) on a grid of scales; errors if the squared sum vanishes anywhere."""
     tg = transform_grid(p, set_, grid)
-    sq = np.sum(tg.values**2, axis=1)
-    if np.any(sq == 0.0):
-        bad = float(np.asarray(grid)[int(np.argmax(sq == 0.0))])
-        raise ZeroTransformSum(f"all transforms vanished at scale j={bad}")
-    values = np.log(sq) / np.log(p.half_width)
-    return CurveC(grid=np.asarray(grid, dtype=np.float64), values=values,
-                  R=p.half_width)
+    return CurveC(grid=tg.scales, values=tg.log_square_sums() / np.log(tg.R),
+                  R=tg.R)

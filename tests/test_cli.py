@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hyperalpha import inference
 from hyperalpha.cli import (_read_rows, main, read_pattern_csv, run_pipeline,
-                           write_pattern_csv)
+                           write_csv)
 from hyperalpha.estimator import DIAGNOSTIC_GRID
 from hyperalpha.geometry import PointPattern, Window, normalize_intensity
 from hyperalpha.numerics import psd_factor
@@ -24,7 +24,7 @@ from hyperalpha.transforms import curve_C
 def pattern_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "pattern.csv"
     p = poisson(1.0, 12.0, seed=77)
-    write_pattern_csv(path, p.points)
+    write_csv(path, p.points)
     return str(path), p
 
 
@@ -32,7 +32,7 @@ class TestReadWriteCsv:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "pts.csv"
         pts = np.array([[0.125, -3.5], [1e-17, 2.0]])
-        write_pattern_csv(path, pts, comments=["header note"])
+        write_csv(path, pts, comments=["header note"])
         got = read_pattern_csv(path)
         np.testing.assert_array_equal(got, pts)
 
@@ -68,7 +68,7 @@ class TestReadWriteCsv:
         # applies Python's float() to every field
         path = tmp_path / "pts.csv"
         p = poisson(1.0, 30.0, seed=5)
-        write_pattern_csv(path, p.points, comments=["simulated"])
+        write_csv(path, p.points, comments=["simulated"])
         with open(path) as fh:
             want = _read_rows(fh, path)
         got = read_pattern_csv(path)
@@ -109,7 +109,7 @@ class TestExitCodes:
         # one pooled frame without points refuses the whole call as empty
         # input, naming that frame, whether or not the window is given
         _, p = pattern_csv
-        write_pattern_csv(tmp_path / "a.csv", p.points)
+        write_csv(tmp_path / "a.csv", p.points)
         (tmp_path / "b.csv").write_text("# no points\n")
         for command in (["estimate"],
                         ["curve", "--output", str(tmp_path / "curve.csv")]):
@@ -132,6 +132,45 @@ class TestExitCodes:
             assert "too few points" in err
             assert "3 points in 2-D" in err
             assert "normalized window half-width of 0.866" in err
+
+    @pytest.mark.parametrize("half_width", ["0", "-5", "nan", "inf"])
+    def test_bad_half_width_is_a_domain_error(self, pattern_csv, tmp_path,
+                                              capsys, half_width):
+        # a bad window is a parameter outside its domain, not unparseable
+        # input; a point outside a valid window still is
+        path, _ = pattern_csv
+        for command in (["estimate"],
+                        ["curve", "--output", str(tmp_path / "curve.csv")]):
+            rc = main(command + ["--input", path, f"--half-width={half_width}"])
+            assert rc == 4
+            assert "--half-width must be positive and finite" \
+                in capsys.readouterr().err
+            assert main(command + ["--input", path, "--half-width", "1"]) == 2
+            assert "outside the window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["simulate", "--model", "rsa", "--radius", "nan"], "hard-core distance r"),
+        (["simulate", "--model", "rsa", "--half-width", "nan"], "half-width"),
+        (["simulate", "--model", "rsa", "--lambda-prop", "nan"], "lambda_prop"),
+        (["simulate", "--model", "poisson", "--intensity", "nan"], "intensity"),
+        (["simulate", "--model", "poisson", "--intensity", "inf"], "intensity"),
+        (["simulate", "--model", "poisson", "--half-width", "inf"], "half-width"),
+        (["simulate", "--model", "cloaked", "--sigma", "nan"], "sigma"),
+        (["simulate", "--model", "matched", "--lambda-p", "nan"], "lambda_p"),
+        (["simulate", "--model", "matched", "--lambda-p", "inf"], "lambda_p"),
+        (["coverage", "--alpha", "0.5", "--half-width", "nan"], "half-width"),
+        (["coverage", "--alpha", "0.5", "--sigma", "nan"], "sigma"),
+    ])
+    def test_nan_or_infinite_parameter_is_a_domain_error(self, argv, name,
+                                                          tmp_path, capsys):
+        # NaN fails no comparison, and an infinite intensity or window
+        # reaches the Poisson count draw; both are refused by name
+        base = {"simulate": ["--half-width", "10",
+                             "--output", str(tmp_path / "x.csv")],
+                "coverage": ["--half-width", "10", "--replicates", "2"]}
+        assert main(argv[:1] + base[argv[0]] + argv[1:]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
 
     @pytest.mark.parametrize("bad", [["--ci-level", "1.5"],
                                      ["--ci-draws", "0"]])
@@ -249,7 +288,7 @@ class TestEstimate:
         # pattern in different units must not move the estimate
         path, p = pattern_csv
         scaled = tmp_path / "scaled.csv"
-        write_pattern_csv(scaled, 3.0 * p.points)
+        write_csv(scaled, 3.0 * p.points)
         rc = main(["estimate", "--input", path, "--half-width", "12"])
         assert rc == 0
         a = json.loads(capsys.readouterr().out)["alpha_hat"]
@@ -280,7 +319,7 @@ class TestEstimate:
         # --nscales takes well under a second; 20 s leaves room for slow
         # machines but not for per-entry quadrature (minutes)
         path = tmp_path / "line.csv"
-        write_pattern_csv(path, poisson(1.0, 200.0, seed=3, d=1).points)
+        write_csv(path, poisson(1.0, 200.0, seed=3, d=1).points)
         out = tmp_path / "report.json"
         argv = ["estimate", "--input", str(path), "--dim", "1",
                 "--half-width", "200", "--ci-level", "0.95",
@@ -298,7 +337,7 @@ class TestEstimate:
     def test_glob_pools_frames(self, tmp_path, capsys):
         for k in (0, 1):
             p = poisson(1.0, 10.0, seed=50 + k)
-            write_pattern_csv(tmp_path / f"frame{k}.csv", p.points)
+            write_csv(tmp_path / f"frame{k}.csv", p.points)
         rc = main(["estimate", "--input", str(tmp_path / "frame*.csv"),
                    "--half-width", "10"])
         assert rc == 0

@@ -278,9 +278,11 @@ class TestTransientMatrix:
 
     def test_structural_zero_is_derived_not_stored(self):
         # the mask is read from the taper parities on demand, so no n x n
-        # array rides along with every covariance
+        # array rides along with every covariance; the row layout is read
+        # from the stored tapers and scales
         names = {f.name for f in dataclasses.fields(CovBlockMatrix)}
         assert "structural_zero" not in names
+        assert "index_map" not in names
 
     def test_entries_match_scalar_function(self):
         set4 = build_taper_set(2, 4)

@@ -10,6 +10,7 @@ from hyperalpha.errors import (
     EmptyInput,
     EmptyPattern,
     WindowTooSmall,
+    ZeroTransformSum,
 )
 from hyperalpha.estimator import (
     DIAGNOSTIC_GRID,
@@ -184,6 +185,14 @@ class TestEstimateAlpha:
             p = PointPattern(np.empty((0, 2)), Window(R), dim=2)
             with pytest.raises(EmptyPattern):
                 estimate_alpha(p, small_set, plan)
+
+    def test_vanished_sums_name_the_scale(self, small_set):
+        # every taper has an odd Hermite factor, exactly zero at the origin,
+        # so a unit-intensity pattern with all its points there has no
+        # transform at any scale; the first plan scale is named
+        p = PointPattern(np.zeros((16, 2)), Window(2.0), dim=2)
+        with pytest.raises(ZeroTransformSum, match=r"at scale j=0\.3$"):
+            estimate_alpha(p, small_set, default_scale_plan(0.3, 0.9))
 
     def test_window_too_small(self, small_set):
         p = PointPattern(np.zeros((1, 2)), Window(1.0), dim=2)

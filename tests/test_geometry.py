@@ -28,6 +28,11 @@ class TestWindow:
         with pytest.raises(DomainError):
             Window(-1.0)
 
+    @pytest.mark.parametrize("half_width", [np.inf, np.nan])
+    def test_rejects_non_finite(self, half_width):
+        with pytest.raises(DomainError, match="finite"):
+            Window(half_width)
+
 
 class TestPointPattern:
     def test_basic(self):

@@ -18,7 +18,7 @@ from hyperalpha.inference import (
     quantile,
     sample_Z,
 )
-from hyperalpha.numerics import psd_factor, spawn_seed_sequences, trigamma
+from hyperalpha.numerics import psd_factor, trigamma
 from hyperalpha.simulate import cloaked_lattice
 from hyperalpha.tapers import build_taper_set
 
@@ -57,7 +57,7 @@ def dense_Z(cov, plan, count, seed, root):
     (scale, taper) layout of the whole vector.
     """
     nJ, out = len(plan), []
-    for child in spawn_seed_sequences(seed, -(-count // 4096)):
+    for child in np.random.SeedSequence(seed).spawn(-(-count // 4096)):
         z = np.random.Generator(np.random.Philox(child)).standard_normal(
             (4096, cov.dim))
         x = z @ root.T

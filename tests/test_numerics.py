@@ -14,7 +14,6 @@ from hyperalpha.numerics import (
     make_rng,
     psd_factor,
     quad_radial,
-    spawn_seed_sequences,
     trigamma,
 )
 
@@ -354,8 +353,3 @@ class TestRng:
         a = make_rng(123).normal(size=5)
         b = make_rng(123).normal(size=5)
         np.testing.assert_array_equal(a, b)
-
-    def test_spawned_streams_differ(self):
-        seqs = spawn_seed_sequences(7, 3)
-        draws = [np.random.Generator(np.random.Philox(s)).normal() for s in seqs]
-        assert len(set(draws)) == 3

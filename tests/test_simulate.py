@@ -144,6 +144,9 @@ class TestRsa:
         large = rsa(3.0, 1.5, 15.0, seed=12)
         assert len(large.points) < len(small.points)
 
+    def test_infinite_distance_keeps_first_arrival(self):
+        assert len(rsa(2.0, np.inf, 10.0, seed=6).points) == 1
+
     def test_deterministic(self):
         a = rsa(1.5, 0.8, 12.0, seed=30)
         b = rsa(1.5, 0.8, 12.0, seed=30)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hyperalpha.cli import write_csv
 from hyperalpha.errors import DomainError, ZeroTransformSum
 from hyperalpha.geometry import PointPattern, Window
 from hyperalpha.simulate import poisson
@@ -132,12 +133,13 @@ class TestCurveC:
         p = pat(rng.uniform(-5, 5, size=(100, 2)), 5.0)
         cv = curve_C(p, set10, np.array([0.5, 0.7]))
         out = tmp_path / "curve.csv"
-        cv.to_csv(out)
+        write_csv(out, np.column_stack([cv.grid, cv.values]), header="j,C")
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "j,C"
+        # repr floats read back bit for bit
         back = np.array([[float(t) for t in ln.split(",")] for ln in lines[1:]])
-        np.testing.assert_allclose(back[:, 0], [0.5, 0.7])
-        np.testing.assert_allclose(back[:, 1], cv.values, rtol=1e-6)
+        np.testing.assert_array_equal(back[:, 0], [0.5, 0.7])
+        np.testing.assert_array_equal(back[:, 1], cv.values)
 
 
 class TestPoissonMoments:
