@@ -77,10 +77,9 @@ def sample_Z(cov, plan, count, seed):
     """
     if count < 1:
         raise DomainError("need at least one draw")
-    nJ = len(plan)
-    nI = cov.dim // nJ
-    if nI * nJ != cov.dim:
-        raise DomainError("plan length does not divide the covariance dimension")
+    if not np.array_equal(plan.scales, cov.scales):
+        raise DomainError("the plan's scales are not the covariance's")
+    nI, nJ = len(cov.indices), len(plan)
     maps = []
     for rows, factor, basis in psd_factor(cov.matrix, cov.swap).blocks:
         to_scale = np.zeros((len(rows), nJ))

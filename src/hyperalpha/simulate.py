@@ -12,42 +12,54 @@ from .numerics import make_rng
 
 # draws of a matched_process replicate before it raises Unmatchable
 _MATCH_ATTEMPTS = 3
+# largest expected point count a simulator draws: 1e8 points in 2-D are
+# 1.6 GB of coordinates and some 40 minutes of estimation
+_MAX_EXPECTED_COUNT = 1e8
+
+
+def _uniform_points(rng, lam, R, d):
+    """Poisson(lam (2R)^d) many uniform points on [-R, R]^d, the one count
+    draw; refuses an expected count that is not finite or above the cap."""
+    try:
+        mean = lam * (2.0 * R) ** d
+    except OverflowError:
+        mean = np.inf
+    if not mean <= _MAX_EXPECTED_COUNT:
+        raise DomainError(
+            f"intensity {lam!r} on half-width {R!r} in {d}-D expects {mean:.3g} "
+            f"points, above the {_MAX_EXPECTED_COUNT:.0e} a simulator draws")
+    return rng.uniform(-R, R, size=(rng.poisson(mean), d))
 
 
 def poisson(lam, R, seed, d=2):
     """Homogeneous Poisson pattern of intensity lam on [-R, R]^d."""
-    # NaN fails every check; the expected count lam * (2R)^d must be finite
     if not 0 <= lam < np.inf:
         raise DomainError(f"intensity must be finite and nonnegative, got {lam}")
     if not 0 < R < np.inf:
         raise DomainError(f"half-width must be finite and positive, got {R}")
-    rng = make_rng(seed)
-    n = rng.poisson(lam * (2.0 * R) ** d)
-    pts = rng.uniform(-R, R, size=(n, d))
+    pts = _uniform_points(make_rng(seed), lam, R, d)
     return PointPattern(pts, Window(half_width=float(R)), dim=d)
 
 
 def one_sided_stable(delta, seed, size):
     """Positive stable draws with Laplace transform exp(-s^delta).
 
-    Ratio-of-trig construction: Y = (a(V) / W)^((1-delta)/delta) with V
-    uniform, W unit exponential, and
+    Ratio-of-trig construction (Kanter): Y = (a(V) / W)^((1-delta)/delta)
+    with V uniform, W unit exponential, and
     a(v) = sin((1-d)pi v) sin(d pi v)^(d/(1-d)) / sin(pi v)^(1/(1-d)).
-    At delta = 1 the law degenerates to the constant 1. Returns an array
-    of `size` draws.
+    At delta = 1 the law degenerates to the constant 1.
     """
     if not 0 < delta <= 1:
         raise DomainError("delta must lie in (0, 1]")
-    n = int(size)
+    return _stable(make_rng(seed), delta, int(size))
+
+
+def _stable(rng, delta, n):
+    """n one_sided_stable draws from rng: all V, then all W (none at 1)."""
     if delta == 1.0:
         return np.ones(n)
-    rng = make_rng(seed)
     v = rng.uniform(0.0, 1.0, n)
     w = rng.exponential(1.0, n)
-    return _kanter(delta, v, w)
-
-
-def _kanter(delta, v, w):
     # evaluated in log space: the three sine powers overflow for delta
     # near 0 or 1 long before the final value does
     log_a = (
@@ -90,12 +102,7 @@ def cloaked_lattice(alpha, sigma, R, seed):
     rng = make_rng(seed)
     global_shift = rng.uniform(0.0, 1.0, 2)
     cell_jitter = rng.uniform(-0.5, 0.5, (n, 2))
-    if delta >= 1.0:
-        y = np.ones(n)
-    else:
-        v = rng.uniform(0.0, 1.0, n)
-        w = rng.exponential(1.0, n)
-        y = _kanter(delta, v, w)
+    y = _stable(rng, delta, n)
     z = rng.standard_normal((n, 2))
     pts = sites + global_shift + cell_jitter + sigma * np.sqrt(y)[:, None] * z
     inside = np.max(np.abs(pts), axis=1) <= R
@@ -123,19 +130,18 @@ def matched_process(lambda_p, R, seed):
     for attempt in range(_MATCH_ATTEMPTS):
         rng = make_rng(seed + 1_000_003 * attempt)
         shift = rng.uniform(0.0, 1.0, 2)
+        # the cloud first: its count cap then bounds the lattice too
+        cloud = _uniform_points(rng, lambda_p, R, 2)
+        if len(cloud) < n_side ** 2:
+            continue
         side = np.arange(n_side, dtype=np.float64)
         lx, ly = np.meshgrid(side, side, indexing="ij")
         lattice = -R + (np.column_stack([lx.ravel(), ly.ravel()])
                         + shift) * spacing
-        n_pois = rng.poisson(lambda_p * (2.0 * R) ** 2)
-        if n_pois < len(lattice):
-            continue
-        cloud = rng.uniform(-R, R, (n_pois, 2))
         matched = _mutual_match(lattice + R, cloud + R, 2.0 * R) - R
         return PointPattern(matched, Window(half_width=float(R)), dim=2)
-    raise Unmatchable(
-        f"Poisson cloud smaller than the lattice in {_MATCH_ATTEMPTS} attempts"
-    )
+    raise Unmatchable("Poisson cloud smaller than the lattice in "
+                      f"{_MATCH_ATTEMPTS} attempts")
 
 
 def _mutual_match(targets, cloud, box):
@@ -183,35 +189,18 @@ def rsa(lambda_prop, r, R, seed):
     if not 0 < R < np.inf:
         raise DomainError(f"rsa needs a finite half-width R > 0, got {R}")
     rng = make_rng(seed)
-    n = rng.poisson(lambda_prop * (2.0 * R) ** 2)
-    pts = rng.uniform(-R, R, (n, 2))
-    marks = rng.uniform(0.0, 1.0, n)
-    order = np.argsort(marks, kind="stable")
-    if r == 0.0:
-        return PointPattern(pts[order], Window(half_width=float(R)), dim=2)
-    cell = r
-    accepted = np.empty((n, 2))
-    n_acc = 0
-    buckets = {}
-    r2 = r * r
-    for idx in order:
-        x, y = pts[idx]
-        cx, cy = int(np.floor(x / cell)), int(np.floor(y / cell))
-        ok = True
-        for bx in range(cx - 1, cx + 2):
-            for by in range(cy - 1, cy + 2):
-                for k in buckets.get((bx, by), ()):
-                    dx = accepted[k, 0] - x
-                    dy = accepted[k, 1] - y
-                    if dx * dx + dy * dy < r2:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            accepted[n_acc] = pts[idx]
-            buckets.setdefault((cx, cy), []).append(n_acc)
-            n_acc += 1
-    return PointPattern(accepted[:n_acc].copy(), Window(half_width=float(R)), dim=2)
+    pts = _uniform_points(rng, lambda_prop, R, 2)
+    # arrival order: by uniform marks
+    pts = pts[np.argsort(rng.uniform(0.0, 1.0, len(pts)), kind="stable")]
+    window = Window(half_width=float(R))
+    if r * r == 0.0:  # r = 0, or so small that r * r underflows: no rejection
+        return PointPattern(pts, window, dim=2)
+    # cells of side r: an accepted point closer than r is in the 3 x 3 around
+    r2, cells, accepted = r * r, {}, []
+    for (x, y), (cx, cy) in zip(pts.tolist(), np.floor(pts / r).tolist()):
+        if all((px - x) * (px - x) + (py - y) * (py - y) >= r2
+               for bx in (cx - 1, cx, cx + 1) for by in (cy - 1, cy, cy + 1)
+               for px, py in cells.get((bx, by), ())):
+            cells.setdefault((cx, cy), []).append((x, y))
+            accepted.append((x, y))
+    return PointPattern(np.array(accepted).reshape(-1, 2), window, dim=2)

@@ -24,6 +24,8 @@ _MACHINE_EPS = float(np.finfo(np.float64).eps)
 DEFAULT_SUPPORT_EPS = 1e-2
 
 DEFAULT_SPATIAL_SCALE = 5.0
+# largest support grid a taper set builds; its length grows as 1/c
+_MAX_SUPPORT_GRID = 2**20
 
 
 def hermite_function_values(n_max, y):
@@ -81,6 +83,9 @@ def _support_tables(n_max, c):
     """
     step = 0.01
     x_hi = 4.0 * (np.sqrt(2.0 * max(1, n_max)) + 6.0) / c
+    if not x_hi <= step * _MAX_SUPPORT_GRID:
+        raise DomainError(f"spatial scale c = {c!r} (--taper-scale) is too small: "
+                          f"its support grid exceeds {_MAX_SUPPORT_GRID} points")
     x_grid = np.arange(0.0, x_hi + step, step)
     y = c * x_grid
     vals = np.abs(hermite_function_values(n_max, y))  # (len(y), n_max+1)
@@ -112,8 +117,9 @@ def build_taper_set(d, i_max, c=DEFAULT_SPATIAL_SCALE):
     if i_max < 2:
         raise DomainError("i_max must be >= 2: below that every index "
                           "would be all-even")
-    if not c > 0:
-        raise DomainError("spatial scale c must be positive")
+    if not 0 < c < np.inf:
+        raise DomainError("spatial scale c (--taper-scale) must be positive "
+                          f"and finite, got {c!r}")
     ranges = np.indices((i_max,) * d).reshape(d, -1).T
     indices = tuple(
         tuple(int(v) for v in row) for row in ranges if any(v % 2 == 1 for v in row)

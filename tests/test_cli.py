@@ -160,17 +160,43 @@ class TestExitCodes:
         (["simulate", "--model", "matched", "--lambda-p", "inf"], "lambda_p"),
         (["coverage", "--alpha", "0.5", "--half-width", "nan"], "half-width"),
         (["coverage", "--alpha", "0.5", "--sigma", "nan"], "sigma"),
+        # finite, but the expected point count is above the simulators' cap
+        (["simulate", "--model", "poisson", "--intensity", "1e300"], "intensity"),
+        (["simulate", "--model", "poisson", "--half-width", "1e200"], "half-width"),
+        (["simulate", "--model", "poisson", "--dim", "1", "--half-width",
+          "1e200"], "half-width"),
+        (["simulate", "--model", "rsa", "--lambda-prop", "1e300"], "intensity"),
+        (["simulate", "--model", "matched", "--lambda-p", "1e300"], "intensity"),
     ])
     def test_nan_or_infinite_parameter_is_a_domain_error(self, argv, name,
                                                           tmp_path, capsys):
-        # NaN fails no comparison, and an infinite intensity or window
-        # reaches the Poisson count draw; both are refused by name
+        # NaN fails no comparison, and an infinite or huge intensity or
+        # window reaches the Poisson count draw; all are refused by name
         base = {"simulate": ["--half-width", "10",
                              "--output", str(tmp_path / "x.csv")],
                 "coverage": ["--half-width", "10", "--replicates", "2"]}
         assert main(argv[:1] + base[argv[0]] + argv[1:]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err
+
+    @pytest.mark.parametrize("scale", ["inf", "1e-300"])
+    def test_unusable_taper_scale_is_a_domain_error(self, pattern_csv,
+                                                    tmp_path, capsys, scale):
+        # an infinite scale, or one whose support grid is too large to
+        # build (its length grows as 1/c), is refused by name
+        path, _ = pattern_csv
+        for command in (["estimate"],
+                        ["curve", "--output", str(tmp_path / "curve.csv")]):
+            assert main(command + ["--input", path, "--half-width", "12",
+                                   "--taper-scale", scale]) == 4
+            assert "--taper-scale" in capsys.readouterr().err
+
+    def test_column_count_must_match_dim(self, tmp_path, capsys):
+        path = tmp_path / "three.csv"
+        path.write_text("1.0,2.0,3.0\n-1.0,0.5,2.0\n")
+        assert main(["estimate", "--input", str(path),
+                     "--half-width", "10"]) == 2
+        assert "input has 3 columns but --dim is 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", [["--ci-level", "1.5"],
                                      ["--ci-draws", "0"]])
@@ -346,6 +372,25 @@ class TestEstimate:
         assert out["alpha_hat"] == pytest.approx(
             np.mean([f["alpha_hat"] for f in out["frames"]]))
 
+    def test_pooled_frames_skip_ci(self, tmp_path, capsys):
+        for k in (0, 1):
+            p = poisson(1.0, 10.0, seed=50 + k)
+            write_csv(tmp_path / f"frame{k}.csv", p.points)
+        rc = main(["estimate", "--input", str(tmp_path / "frame*.csv"),
+                   "--half-width", "10", "--ci-level", "0.95"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "skipping CI for pooled frames" in captured.err
+        assert json.loads(captured.out)["ci"] is None
+
+    def test_poisson_reference(self, pattern_csv, capsys):
+        path, _ = pattern_csv
+        rc = main(["estimate", "--input", path, "--half-width", "12",
+                   "--imax", "4", "--poisson-reference"])
+        assert rc == 0
+        j_max = json.loads(capsys.readouterr().out)["j_max_poisson"]
+        assert np.isfinite(j_max) and 0 < j_max <= 1.3
+
     def test_curve_output(self, pattern_csv, tmp_path, capsys):
         path, _ = pattern_csv
         curve_path = tmp_path / "curve.csv"
@@ -453,6 +498,15 @@ class TestSimulateCommand:
         assert rc == 4
         assert "2-D" in capsys.readouterr().err
         assert not f.exists()
+
+    def test_matched_params(self, tmp_path, capsys):
+        f = tmp_path / "m.csv"
+        rc = main(["simulate", "--model", "matched", "--half-width", "5",
+                   "--seed", "1", "--output", str(f)])
+        assert rc == 0
+        meta = json.loads(capsys.readouterr().out)
+        assert meta["params"] == {"lambda_p": 2.0}
+        assert meta["n_points"] == 100 == len(read_pattern_csv(f))
 
     def test_dim_one_poisson(self, tmp_path, capsys):
         f = tmp_path / "p.csv"

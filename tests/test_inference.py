@@ -241,6 +241,17 @@ class TestSampleZ:
         with pytest.raises(DomainError):
             sample_Z(cov, bad_plan, 100, seed=0)
 
+    @pytest.mark.parametrize("bad_plan", [
+        default_scale_plan(0.5, 0.8, n_scales=5),
+        default_scale_plan(0.5, 0.9, n_scales=10),
+    ], ids=["same-length", "length-divides"])
+    def test_plan_must_be_the_covariances(self, small_cov, bad_plan):
+        # 12 tapers x 5 scales: another 5-scale plan, or a 10-scale plan
+        # that would read the rows as 6 tapers, is not this covariance's
+        _, _, cov = small_cov
+        with pytest.raises(DomainError, match="scales"):
+            sample_Z(cov, bad_plan, 100, seed=0)
+
 
 class TestAxisSwapFactor:
     # fallback_cov's blocks are (even,odd), (odd,even) and (odd,odd) tapers,

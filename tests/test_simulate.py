@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from hyperalpha import simulate
 from hyperalpha.errors import DomainError
+from hyperalpha.numerics import make_rng
 from hyperalpha.simulate import (
     cloaked_lattice,
     matched_process,
@@ -35,6 +37,14 @@ class TestPoisson:
             poisson(-0.5, 10.0, seed=0)
         with pytest.raises(DomainError):
             poisson(1.0, 0.0, seed=0)
+
+    def test_expected_count_cap(self, monkeypatch):
+        # a count above the cap is refused before a point is drawn; the cap
+        # is lowered here, as the real one (1e8) would take 1.6 GB to pass
+        monkeypatch.setattr(simulate, "_MAX_EXPECTED_COUNT", 400.0)
+        assert len(poisson(1.0, 10.0, seed=0).points) > 0
+        with pytest.raises(DomainError, match="above the 4e[+]02"):
+            poisson(1.0 + 1e-9, 10.0, seed=0)
 
 
 class TestOneSidedStable:
@@ -146,6 +156,22 @@ class TestRsa:
 
     def test_infinite_distance_keeps_first_arrival(self):
         assert len(rsa(2.0, np.inf, 10.0, seed=6).points) == 1
+
+    @pytest.mark.parametrize("r", [0.0, 1e-320, 1e-9, 0.5, 1.0, 3.0, np.inf])
+    @pytest.mark.parametrize("lam, R, seed", [(2.0, 12.0, 3), (1.0, 15.0, 8)])
+    def test_matches_quadratic_greedy(self, lam, R, seed, r):
+        # the same draws, in the same arrival order (the stable argsort of
+        # the marks), through a plain greedy against every accepted point;
+        # at r = 1e-320, r * r underflows to 0 and nothing is rejected
+        rng = make_rng(seed)
+        pts = rng.uniform(-R, R, (rng.poisson(lam * (2.0 * R) ** 2), 2))
+        pts = pts[np.argsort(rng.uniform(0.0, 1.0, len(pts)), kind="stable")]
+        accepted = np.empty((0, 2))
+        for p in pts:
+            dx, dy = accepted[:, 0] - p[0], accepted[:, 1] - p[1]
+            if not np.any(dx * dx + dy * dy < r * r):
+                accepted = np.vstack([accepted, p])
+        assert np.array_equal(rsa(lam, r, R, seed).points, accepted)
 
     def test_deterministic(self):
         a = rsa(1.5, 0.8, 12.0, seed=30)
