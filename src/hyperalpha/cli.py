@@ -330,7 +330,7 @@ def _cmd_coverage(args):
     covered = 0
     alphas = []
     for rep in range(args.replicates):
-        norm, _ = _normalize(simulate_one(rep))
+        norm = _normalize(simulate_one(rep))[0] if rep else pilot
         report = estimate_alpha(norm, est_set, plan)
         pivot = np.log(report.R) * (report.alpha_hat - true_alpha)
         covered += bool(q_lo <= pivot <= q_hi)

@@ -49,7 +49,11 @@ class PointPattern:
         if dim is not None and pts.shape[1] != dim:
             raise DomainError(f"points have dim {pts.shape[1]}, expected {dim}")
         R = window.half_width
-        inside = np.max(np.abs(pts), axis=1, initial=0.0) <= R
+        # column-wise, far faster than row maxima; a NaN propagates and fails
+        extent = np.zeros(len(pts))
+        for col in pts.T:
+            np.maximum(extent, np.abs(col), out=extent)
+        inside = extent <= R
         if not inside.all():
             bad = int(np.argmin(inside))
             raise DomainError(

@@ -93,19 +93,26 @@ def cloaked_lattice(alpha, sigma, R, seed):
         # few-permille of jumps from beyond the cap is absorbed by
         # intensity normalization downstream)
         margin = min(6.0 * sigma * (1.0 + 3.0 ** (2.0 / alpha)), 3.0 * R)
-    lo = int(np.floor(-R - margin))
-    hi = int(np.ceil(R + margin))
-    side = np.arange(lo, hi + 1, dtype=np.float64)
-    qx, qy = np.meshgrid(side, side, indexing="ij")
-    sites = np.column_stack([qx.ravel(), qy.ravel()])
-    n = len(sites)
+    # Python floats, so a huge window overflows to inf without a warning
+    lo, hi = float(np.floor(-R - margin)), float(np.ceil(R + margin))
+    n_side = hi - lo + 1.0
+    if not n_side * n_side <= _MAX_EXPECTED_COUNT:
+        raise DomainError(f"cloaked lattice at alpha {alpha!r}, sigma {sigma!r} on "
+                          f"half-width {R!r} has {n_side * n_side:.6g} sites, "
+                          f"above the {_MAX_EXPECTED_COUNT:.0e} a simulator draws")
+    side = np.arange(int(lo), int(hi) + 1, dtype=np.float64)
+    n = len(side) ** 2
     rng = make_rng(seed)
     global_shift = rng.uniform(0.0, 1.0, 2)
     cell_jitter = rng.uniform(-0.5, 0.5, (n, 2))
     y = _stable(rng, delta, n)
     z = rng.standard_normal((n, 2))
-    pts = sites + global_shift + cell_jitter + sigma * np.sqrt(y)[:, None] * z
-    inside = np.max(np.abs(pts), axis=1) <= R
+    # site i * len(side) + k is (side[i], side[k]), shifted
+    pts = np.column_stack([np.repeat(side + global_shift[0], len(side)),
+                           np.tile(side + global_shift[1], len(side))])
+    pts += cell_jitter
+    pts += sigma * np.sqrt(y)[:, None] * z
+    inside = np.maximum(np.abs(pts[:, 0]), np.abs(pts[:, 1])) <= R
     return PointPattern(pts[inside], Window(half_width=float(R)), dim=2)
 
 

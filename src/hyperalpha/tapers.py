@@ -28,7 +28,7 @@ DEFAULT_SPATIAL_SCALE = 5.0
 _MAX_SUPPORT_GRID = 2**20
 
 
-def hermite_function_values(n_max, y):
+def hermite_function_values(n_max, y, out=None):
     """Values of the orthonormal Hermite functions psi_n(y), n = 0..n_max.
 
     psi_n(y) = H_n(y) e^{-y^2/2} with the L2-normalized H_n, built by the
@@ -39,9 +39,15 @@ def hermite_function_values(n_max, y):
     of shape y.shape + (n_max + 1,) that puts the order on the last axis.
     Each step is written into its slab in place, through one scratch slab,
     as (a_n y) psi_n - b_n psi_(n-1), so no step allocates.
+    out, if given, is that C-contiguous (n_max + 1,) + y.shape array, filled
+    in place; a caller that evaluates many blocks reuses one buffer.
     """
     y = np.asarray(y, dtype=np.float64)
-    out = np.empty((n_max + 1,) + y.shape)
+    shape = (n_max + 1,) + y.shape
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
     # one row per order; rows are views, also for a 0-d y
     psi, flat_y = out.reshape(n_max + 1, -1), y.reshape(-1)
     np.multiply(-0.5, flat_y, out=psi[0])
@@ -57,7 +63,7 @@ def hermite_function_values(n_max, y):
         np.multiply(psi[n + 1], psi[n], out=psi[n + 1])
         np.multiply(np.sqrt(n / (n + 1.0)), psi[n - 1], out=scratch)
         np.subtract(psi[n + 1], scratch, out=psi[n + 1])
-    return np.moveaxis(out, 0, -1)
+    return out.transpose(tuple(range(1, out.ndim)) + (0,))
 
 
 @dataclass(frozen=True)

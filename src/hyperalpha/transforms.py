@@ -72,16 +72,22 @@ def _taper_sums(pts, mult, idx):
     scales in chunks of _SCALE_CHUNK.
     Each scale's result depends only on that scale and the blocks, never
     on the chunk it shares, and block results are added in block order.
+    Every block and chunk writes its arguments and Hermite tables into two
+    buffers allocated once: fresh tables made malloc trim and regrow its heap.
     """
-    n_max = int(idx.max())
+    n_max, d = int(idx.max()), idx.shape[1]
     out = np.zeros((len(mult), len(idx)))
+    full = d * min(len(mult), _SCALE_CHUNK) * min(len(pts), _SUM_BLOCK)
+    arg_buf, table_buf = np.empty(full), np.empty((n_max + 1) * full)
     for start in range(0, len(pts), _SUM_BLOCK):
         block = pts[start:start + _SUM_BLOCK]
         for lo in range(0, len(mult), _SCALE_CHUNK):
             s = mult[lo:lo + _SCALE_CHUNK, None]
-            H = [hermite_function_values(n_max, s * block[:, l])
-                 for l in range(idx.shape[1])]
-            G = H[0].sum(axis=1) if len(H) == 1 else \
+            shape, size = (d, len(s), len(block)), d * len(s) * len(block)
+            y = np.multiply(s, block.T[:, None, :], out=arg_buf[:size].reshape(shape))
+            tables = table_buf[:(n_max + 1) * size].reshape((n_max + 1,) + shape)
+            H = hermite_function_values(n_max, y, out=tables)
+            G = H[0].sum(axis=1) if d == 1 else \
                 np.matmul(H[0].swapaxes(1, 2), H[1])
             out[lo:lo + len(s)] += G[(slice(None), *idx.T)]
     return out

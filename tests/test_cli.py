@@ -167,6 +167,10 @@ class TestExitCodes:
           "1e200"], "half-width"),
         (["simulate", "--model", "rsa", "--lambda-prop", "1e300"], "intensity"),
         (["simulate", "--model", "matched", "--lambda-p", "1e300"], "intensity"),
+        # the cloaked lattice's sites: inf of them, and 10001^2 just past 1e8
+        (["simulate", "--model", "cloaked", "--half-width", "1e200"], "half-width"),
+        (["simulate", "--model", "cloaked", "--alpha", "2", "--half-width",
+          "4998"], "half-width"),
     ])
     def test_nan_or_infinite_parameter_is_a_domain_error(self, argv, name,
                                                           tmp_path, capsys):

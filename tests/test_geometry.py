@@ -55,6 +55,17 @@ class TestPointPattern:
         p = square_pattern([[2.0, -2.0]], 2.0)
         assert len(p) == 1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.nextafter(2.0, np.inf),
+                                     -np.nextafter(2.0, np.inf)])
+    @pytest.mark.parametrize("col", [0, 1])
+    def test_rejects_nan_or_just_outside(self, bad, col):
+        pts = np.array([[0.5, -2.0], [2.0, 1.0], [0.0, 0.0]])
+        pts[1, col] = bad
+        with pytest.raises(DomainError, match="outside the window"):
+            square_pattern(pts, 2.0)
+        with pytest.raises(DomainError, match="outside the window"):
+            square_pattern(pts[:, col], 2.0, dim=1)
+
     def test_dim_mismatch(self):
         with pytest.raises(DomainError):
             PointPattern(np.zeros((3, 2)), Window(1.0), dim=1)

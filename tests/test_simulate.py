@@ -92,6 +92,33 @@ class TestCloakedLattice:
         d, _ = tree.query(p.points, k=2)
         assert np.median(d[:, 1]) < 2.0
 
+    @staticmethod
+    def meshgrid_body(alpha, sigma, R, seed):
+        # the sampler's points as first written: meshgrid sites, one sum
+        delta = alpha / 2.0
+        margin = 6.0 * sigma if delta >= 1.0 else \
+            min(6.0 * sigma * (1.0 + 3.0 ** (2.0 / alpha)), 3.0 * R)
+        side = np.arange(int(np.floor(-R - margin)), int(np.ceil(R + margin)) + 1,
+                         dtype=np.float64)
+        qx, qy = np.meshgrid(side, side, indexing="ij")
+        sites = np.column_stack([qx.ravel(), qy.ravel()])
+        n = len(sites)
+        rng = make_rng(seed)
+        global_shift = rng.uniform(0.0, 1.0, 2)
+        cell_jitter = rng.uniform(-0.5, 0.5, (n, 2))
+        y = simulate._stable(rng, delta, n)
+        z = rng.standard_normal((n, 2))
+        pts = sites + global_shift + cell_jitter + sigma * np.sqrt(y)[:, None] * z
+        return pts[np.max(np.abs(pts), axis=1) <= R]
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("R", [5.0, 12.5, 25.0])
+    def test_matches_meshgrid_body(self, alpha, R):
+        for seed in (1, 2, 3):
+            assert np.array_equal(
+                cloaked_lattice(alpha, 0.25, R, seed).points,
+                self.meshgrid_body(alpha, 0.25, R, seed))
+
     def test_deterministic(self):
         a = cloaked_lattice(0.5, 0.35, 10.0, seed=21)
         b = cloaked_lattice(0.5, 0.35, 10.0, seed=21)

@@ -84,6 +84,23 @@ class TestHermiteValues:
             expect = 1.0 if a == b else 0.0
             assert ix * iy == pytest.approx(expect, abs=1e-8)
 
+    @pytest.mark.parametrize("shape", [(), (7,), (2, 3, 4)])
+    def test_out_buffer_is_filled_in_place(self, shape):
+        y = np.random.default_rng(len(shape)).normal(0.0, 3.0, shape)
+        buf = np.full((10,) + shape, np.nan)
+        vals = hermite_function_values(9, y, out=buf)
+        assert np.shares_memory(vals, buf)
+        assert vals.shape == shape + (10,)
+        np.testing.assert_array_equal(vals, hermite_function_values(9, y))
+
+    @pytest.mark.parametrize("buf", [np.empty((10, 8)), np.empty((10, 7, 2))[..., 0],
+                                     np.empty((10, 7), dtype=np.float32)])
+    def test_unusable_out_buffer_is_refused(self, buf):
+        # a wrong shape, a strided view (its reshape would be a copy) and
+        # another dtype would each leave the values somewhere else
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            hermite_function_values(9, np.zeros(7), out=buf)
+
 
 class TestTaperEval:
     def test_separable_product(self, set10):

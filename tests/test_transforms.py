@@ -5,7 +5,11 @@ from hyperalpha.cli import write_csv
 from hyperalpha.errors import DomainError, ZeroTransformSum
 from hyperalpha.geometry import PointPattern, Window
 from hyperalpha.simulate import poisson
-from hyperalpha.tapers import build_taper_set, taper_eval
+from hyperalpha.tapers import (
+    build_taper_set,
+    hermite_function_values,
+    taper_eval,
+)
 from hyperalpha.transforms import (
     curve_C,
     transform_grid,
@@ -91,6 +95,39 @@ class TestTransformGrid:
             # batching scales never changes a row, not even in the last bit
             np.testing.assert_array_equal(
                 g.values[jx], transform_grid(p, set_, J[jx:jx + 1]).values[0])
+
+    @staticmethod
+    def per_axis_kernel(pts, mult, idx):
+        # the kernel with a fresh Hermite table per axis, block and chunk
+        n_max = int(idx.max())
+        out = np.zeros((len(mult), len(idx)))
+        for start in range(0, len(pts), 1024):
+            block = pts[start:start + 1024]
+            for lo in range(0, len(mult), 8):
+                s = mult[lo:lo + 8, None]
+                H = [hermite_function_values(n_max, s * block[:, l])
+                     for l in range(idx.shape[1])]
+                G = H[0].sum(axis=1) if len(H) == 1 else \
+                    np.matmul(H[0].swapaxes(1, 2), H[1])
+                out[lo:lo + len(s)] += G[(slice(None), *idx.T)]
+        return out
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [1, 1000, 2500])
+    @pytest.mark.parametrize("n_scales", [1, 10, 17])
+    def test_reused_tables_match_per_axis_kernel(self, d, n, n_scales):
+        # whole and partial blocks of points and chunks of scales all land
+        # in leading slices of the reused buffers, bit for bit
+        set_ = build_taper_set(d, 10)
+        R = 20.0
+        pts = np.random.default_rng(100 * d + n).uniform(-R, R, size=(n, d))
+        p = PointPattern(pts, Window(R), dim=d)
+        J = np.linspace(0.1, 1.2, n_scales)
+        ref = self.per_axis_kernel(
+            p.points[np.lexsort(p.points.T[::-1])],
+            set_.spatial_scale / R ** J,
+            np.asarray(set_.indices, dtype=np.intp))
+        np.testing.assert_array_equal(transform_grid(p, set_, J).values, ref)
 
     def test_permutation_bit_identity(self, set10):
         rng = np.random.default_rng(6)
