@@ -432,6 +432,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise DomainError(f"--seed must be at least 0, got {args.seed}")
         return args.func(args)
     except _ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,7 +43,7 @@ confidence interval.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -169,22 +169,36 @@ def sigma_entry_d2(i1, i2, j1, j2, beta, R):
 
 @dataclass(frozen=True)
 class CovBlockMatrix:
-    """Dense symmetric covariance with scale-major row layout.
+    """Symmetric covariance stored as its taper parity blocks.
 
     Row convention: row = scale_index * |I| + taper_index, matching how
-    transform vectors are flattened for sampling. index_map, swap and
-    structural_zero are derived from the indices and scales when read.
+    transform vectors are flattened for sampling. Entries between parity
+    classes vanish; blocks holds one (rows, M[rows][:, rows]) pair per
+    class, rows ascending, classes in the order of their first taper. A
+    dense matrix= is split into them, and reading matrix assembles it.
+    index_map, swap and structural_zero are derived when read.
     """
 
     indices: tuple
     scales: np.ndarray
-    matrix: np.ndarray
-    beta: float
-    R: float
+    blocks: tuple = ()
+    matrix: InitVar[np.ndarray] = None
+
+    def __post_init__(self, matrix):
+        if matrix is None:
+            return
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.shape != (self.dim,) * 2 or np.any(matrix[self.structural_zero]):
+            raise DomainError(
+                f"matrix= must be {self.dim} x {self.dim} and zero between taper "
+                f"parity classes, got shape {matrix.shape}")
+        object.__setattr__(self, "blocks", tuple(
+            (rows, matrix[np.ix_(rows, rows)])
+            for rows in _class_rows(self.indices, len(self.scales))))
 
     @property
     def dim(self):
-        return self.matrix.shape[0]
+        return len(self.indices) * len(self.scales)
 
     @property
     def index_map(self):
@@ -193,8 +207,9 @@ class CovBlockMatrix:
 
     @property
     def structural_zero(self):
-        """n x n mask of the entries that vanish by parity (_parity_zero)."""
-        return np.tile(_parity_zero(self.indices), (len(self.scales),) * 2)
+        """n x n mask of the entries between parity classes, which vanish."""
+        label = _parity_labels(self.indices)
+        return np.tile(label[:, None] != label, (len(self.scales),) * 2)
 
     @property
     def swap(self):
@@ -210,10 +225,30 @@ class CovBlockMatrix:
         return (np.arange(0, self.dim, len(self.indices))[:, None] + sw).ravel()
 
 
-def _parity_zero(indices):
-    """Taper pairs whose entries vanish by parity: they differ on some axis."""
-    parity = np.asarray(indices) % 2
-    return (parity[:, None, :] != parity[None, :, :]).any(axis=-1)
+def _dense(cov):
+    """The dense covariance: its blocks on their rows, zeros elsewhere."""
+    matrix = np.zeros((cov.dim, cov.dim))
+    for rows, B in cov.blocks:
+        matrix[np.ix_(rows, rows)] = B
+    return matrix
+
+
+CovBlockMatrix.matrix = property(_dense)
+
+
+def _parity_labels(indices):
+    """Parity class of each taper, numbered in the order of first tapers."""
+    first = {}
+    return np.array([first.setdefault(tuple(p), len(first))
+                     for p in np.asarray(indices) % 2])
+
+
+def _class_rows(indices, n_scales):
+    """Ascending rows of each parity class in the scale-major layout."""
+    label = _parity_labels(indices)
+    scale_rows = np.arange(n_scales)[:, None] * len(label)
+    return [(scale_rows + np.flatnonzero(label == k)).ravel()
+            for k in range(label.max() + 1)]
 
 
 def _taper_swap(indices):
@@ -229,19 +264,20 @@ def _taper_swap(indices):
 
 
 def _assemble(indices, J, beta, R):
-    """Matrix in the CovBlockMatrix row layout.
+    """The (rows, B) blocks of the parity classes, as CovBlockMatrix stores them.
 
-    Parity makes at least half the entries exact zeros (_parity_zero);
-    they are skipped, never computed. In d = 2 the covariance is isotropic,
-    so swapping the axes of both tapers, (a, b) -> (b, a), leaves an entry
-    unchanged. One parity-matched taper pair a <= b per swap orbit is
-    filled across all scale pairs at once and written into its swapped
-    image and into the mirrored pairs (b, a), so the matrix is exactly
-    symmetric, and exactly invariant under the axis swap, by construction.
+    Entries between classes vanish by parity; they are never computed. In
+    d = 2 the covariance is isotropic, so swapping the axes of both tapers,
+    (a, b) -> (b, a), leaves an entry unchanged. One parity-matched taper
+    pair a <= b per swap orbit is filled across all scale pairs at once
+    and written into its swapped image and into the mirrored pairs (b, a),
+    so every block is exactly symmetric, and the blocks exactly invariant
+    under the axis swap, by construction.
     """
     idx = np.asarray(indices)
     nI, nJ = len(idx), len(J)
-    A, B = np.nonzero(np.triu(~_parity_zero(idx)))
+    label = _parity_labels(idx)
+    A, B = np.nonzero(np.triu(label[:, None] == label))
     sw = _taper_swap(indices)
     if sw is None:
         sw = np.arange(nI)
@@ -254,18 +290,23 @@ def _assemble(indices, J, beta, R):
     vals = vals.reshape(-1, nJ, nJ)
     # a pair whose mirror is itself (a = b) or its swap image (b = swap(a))
     # gets its own values transposed: mirror the upper scale triangle so
-    # the matrix is symmetric to the last bit, not just to round-off
+    # the block is symmetric to the last bit, not just to round-off
     same = (A == B) | (B == sw[A])
     vals[same] = np.triu(vals[same]) + np.triu(vals[same], 1).transpose(0, 2, 1)
-    matrix = np.zeros((nJ, nI, nJ, nI))
-    # one row scale at a time, so the scattered writes stay in a 2 MB slab
-    for row, v, v_mirror in zip(matrix, vals.transpose(1, 0, 2),
-                                vals.transpose(2, 0, 1)):
+    # each taper's position within its class
+    pos = np.array([np.count_nonzero(label[:k] == c) for k, c in enumerate(label)])
+    blocks = []
+    for k, rows in enumerate(_class_rows(idx, nJ)):
+        block = np.zeros((nJ, len(rows) // nJ) * 2)
+        # a pair and its swap image can lie in different classes
         for a, b in ((A, B), (sw[A], sw[B])):
-            row[a, :, b] = v
+            mine = label[a] == k
+            pa, pb, v = pos[a[mine]], pos[b[mine]], vals[mine]
+            block[:, pa, :, pb] = v
             # swapped tapers = swapped scales, from the same values
-            row[b, :, a] = v_mirror
-    return matrix.reshape(nI * nJ, -1)
+            block[:, pb, :, pa] = v.transpose(0, 2, 1)
+        blocks.append((rows, block.reshape(len(rows), -1)))
+    return tuple(blocks)
 
 
 def sigma_transient(set_, J, beta, R):
@@ -277,12 +318,8 @@ def sigma_transient(set_, J, beta, R):
         raise DomainError("need R > 1")
     if beta < 0:
         raise DomainError("beta must be nonnegative")
-    return CovBlockMatrix(
-        indices=set_.indices, scales=J,
-        matrix=_assemble(set_.indices, J, beta, R),
-        beta=float(beta),
-        R=float(R),
-    )
+    return CovBlockMatrix(indices=set_.indices, scales=J,
+                          blocks=_assemble(set_.indices, J, beta, R))
 
 
 def sigma_asymptotic(set_, J, alpha):
@@ -294,13 +331,11 @@ def sigma_asymptotic(set_, J, alpha):
     J = np.asarray(J, dtype=np.float64)
     if alpha < 0:
         raise DomainError("alpha must be nonnegative")
-    block = _assemble(set_.indices, np.ones(1), alpha, 1.0)
-    n, ar = len(block), np.arange(len(J))
-    matrix = np.zeros((len(J), n, len(J), n))
-    matrix[ar, :, ar, :] = block
-    return CovBlockMatrix(
-        indices=set_.indices, scales=J,
-        matrix=matrix.reshape(len(J) * n, -1),
-        beta=float(alpha),
-        R=np.inf,
-    )
+    one = _assemble(set_.indices, np.ones(1), alpha, 1.0)
+    ar = np.arange(len(J))
+    blocks = []
+    for (_, B), rows in zip(one, _class_rows(set_.indices, len(J))):
+        block = np.zeros((len(J), len(B)) * 2)
+        block[ar, :, ar, :] = B
+        blocks.append((rows, block.reshape(len(rows), -1)))
+    return CovBlockMatrix(indices=set_.indices, scales=J, blocks=tuple(blocks))

@@ -73,10 +73,9 @@ class PointPattern:
 
 @dataclass(frozen=True)
 class NormalizationRecord:
-    """Intensity estimate and the rescaling factor applied to reach lambda = 1."""
+    """Intensity estimate of the pattern before rescaling to lambda = 1."""
 
     lambda_hat: float
-    scale_factor: float
 
 
 def estimate_intensity(p):
@@ -97,4 +96,4 @@ def normalize_intensity(p):
     rescaled = PointPattern(
         p.points * scale, Window(half_width=p.half_width * scale), dim=p.dim
     )
-    return rescaled, NormalizationRecord(lambda_hat=lam, scale_factor=scale)
+    return rescaled, NormalizationRecord(lambda_hat=lam)

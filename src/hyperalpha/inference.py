@@ -23,6 +23,8 @@ _BLOCK_DRAWS = 4096
 _CHUNK_NORMALS = 2**21
 
 DEFAULT_CI_DRAWS = 20000
+# the most draws, 800 MB of pivot values; the simulators cap points at 1e8 too
+MAX_CI_DRAWS = 10**8
 
 
 @dataclass(frozen=True)
@@ -30,9 +32,6 @@ class ZSample:
     """Monte Carlo draws of the pivot statistic."""
 
     values: np.ndarray
-    beta: float
-    R: float
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -57,9 +56,9 @@ def sample_Z(cov, plan, count, seed):
     holds more than 2^21 normals (512 rows at dimension 3750); the
     generator fills row by row, so chunking does not change them.
 
-    The matrix splits into blocks, the connected components of its
-    exact-nonzero pattern (the taper parity classes), and each draw is
-    mapped one block at a time through psd_factor's root of the block:
+    The covariance is stored as its taper parity blocks (cov.blocks),
+    and each draw is mapped one block at a time through psd_factor's
+    root of the block:
     N_b = F_b (V_b^T z_b), the eigen-truncated symmetric square root
     applied to the block's normals z_b, their squares added to the
     per-scale chi-square sums. Any square root of the covariance gives
@@ -75,13 +74,15 @@ def sample_Z(cov, plan, count, seed):
     which the zero-sum weights cancel, so it moves the draws by round-off,
     as does a one-ulp change of the exponent.
     """
-    if count < 1:
-        raise DomainError("need at least one draw")
+    if not 1 <= count <= MAX_CI_DRAWS:
+        raise DomainError(f"need 1 to {MAX_CI_DRAWS:.0e} draws, got {count}")
+    if seed < 0:
+        raise DomainError(f"the seed must be at least 0, got {seed}")
     if not np.array_equal(plan.scales, cov.scales):
         raise DomainError("the plan's scales are not the covariance's")
     nI, nJ = len(cov.indices), len(plan)
     maps = []
-    for rows, factor, basis in psd_factor(cov.matrix, cov.swap).blocks:
+    for rows, factor, basis in psd_factor(cov.blocks, cov.swap).blocks:
         to_scale = np.zeros((len(rows), nJ))
         to_scale[np.arange(len(rows)), rows // nI] = 1.0
         maps.append((rows, factor, basis, to_scale))
@@ -106,7 +107,7 @@ def sample_Z(cov, plan, count, seed):
                 raise ZeroTransformSum("a chi-square block vanished (degenerate covariance)")
             out[done:done + take] = np.log(chi) @ w
             done += take
-    return ZSample(values=out, beta=cov.beta, R=cov.R, seed=int(seed))
+    return ZSample(values=out)
 
 
 def quantile(sample, q):
@@ -117,11 +118,11 @@ def quantile(sample, q):
 
 
 def check_ci_request(level, draws):
-    """Refuse a confidence level outside (0, 1) or fewer than one draw."""
+    """Refuse a confidence level outside (0, 1) or draws outside 1..MAX_CI_DRAWS."""
     if not 0 < level < 1:
         raise DomainError("confidence level must be in (0, 1)")
-    if draws < 1:
-        raise DomainError("need at least one draw")
+    if not 1 <= draws <= MAX_CI_DRAWS:
+        raise DomainError(f"--ci-draws must be 1 to {MAX_CI_DRAWS:.0e}, got {draws}")
 
 
 def pivot_quantiles(set_, plan, beta, R, level, draws=DEFAULT_CI_DRAWS, seed=0):

@@ -174,17 +174,15 @@ def quad_radial(integrand, d, tol=1e-9):
 
 @dataclass(frozen=True)
 class PsdFactor:
-    """Eigen-truncated square root of a symmetric matrix, one block at a time.
+    """Eigen-truncated square root of a symmetric block matrix, block by block.
 
-    blocks holds one (rows, factor, basis) triple per connected component
-    of the matrix's exact-nonzero pattern, rows being the component's
-    indices into the matrix: ascending, or, for a block that reuses the
-    eigenpairs of its swap image, the image's rows in swapped order. basis
-    is a len(rows) x r matrix V of the block's orthonormal eigenvectors
-    whose eigenvalues lie above the clipping level, and
-    factor = V sqrt(lambda), so M_clipped[rows][:, rows] = factor @ factor.T
-    and factor @ basis.T is its symmetric square root.
-    Every entry of M_clipped outside the blocks is zero.
+    blocks holds one (rows, factor, basis) triple per block given to
+    psd_factor, rows as given or, for a block that reuses the eigenpairs
+    of its swap image, the image's rows in swapped order. basis is a
+    len(rows) x r matrix V of the block's orthonormal eigenvectors whose
+    eigenvalues lie above the clipping level, and factor = V sqrt(lambda),
+    so M_clipped[rows][:, rows] = factor @ factor.T and factor @ basis.T
+    is its symmetric square root. M_clipped is zero outside the blocks.
     """
 
     dimension: int
@@ -192,42 +190,6 @@ class PsdFactor:
 
 
 _PSD_CLIP_REL = 1e-8
-# side of the square tiles the symmetry check compares (512 KiB each)
-_SYM_TILE = 256
-
-
-def _blocks(nonzero):
-    """Index arrays of the connected components of a symmetric boolean pattern.
-
-    A dense frontier search: each step adds every index that a frontier row
-    reaches and that is not yet a member.
-    """
-    n = len(nonzero)
-    seen = np.zeros(n, dtype=bool)
-    blocks = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        members = np.zeros(n, dtype=bool)
-        members[start] = True
-        frontier = members.copy()
-        while frontier.any():
-            frontier = nonzero[frontier].any(axis=0) & ~members
-            members |= frontier
-        seen |= members
-        blocks.append(np.flatnonzero(members))
-    return blocks
-
-
-def _is_symmetric(M):
-    """Whether the square matrix M equals its transpose exactly.
-
-    Compares M[a, b] with M[b, a].T one pair of square tiles at a time, so
-    both reads stay within cache-sized pieces of M.
-    """
-    n, t = len(M), _SYM_TILE
-    return all(np.array_equal(M[i:i + t, j:j + t], M[j:j + t, i:i + t].T)
-               for i in range(0, n, t) for j in range(i, n, t))
 
 
 def _swap_eigh(B, s):
@@ -257,42 +219,42 @@ def _swap_eigh(B, s):
     return np.concatenate([lam_e, lam_o]), vec
 
 
-def _eigen_blocks(sym, swap):
-    """(rows, lam, vec) per block of the exact-nonzero pattern of sym.
+def _eigen_blocks(blocks, swap):
+    """(rows, lam, vec) per (rows, B) block.
 
     A block whose swap image is an earlier block, equal to it entry for
     entry in swapped row order, reuses that block's eigenpairs on the
     swapped rows. A block the swap maps to itself, entry for entry, is
     split by _swap_eigh. Every other block gets one eigh.
     """
-    blocks = _blocks(sym != 0.0)
-    owner = np.empty(len(sym), dtype=np.intp)
-    for k, rows in enumerate(blocks):
-        owner[rows] = k
+    n = sum(len(rows) for rows, _ in blocks)
+    # each row's block, and its position within that block
+    owner, local = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    for k, (rows, _) in enumerate(blocks):
+        owner[rows], local[rows] = k, np.arange(len(rows))
     parts = []
-    for k, rows in enumerate(blocks):
-        B = sym[np.ix_(rows, rows)]
+    for k, (rows, B) in enumerate(blocks):
         # c: the block holding the swap image of this one (k + 1: no swap)
         img = None if swap is None else swap[rows]
         c = k + 1 if img is None else owner[img[0]]
-        if (c <= k and np.array_equal(np.sort(img), blocks[c])
-                and np.array_equal(sym[np.ix_(img, img)], B)):
+        if (c <= k and np.all(owner[img] == c) and len(rows) == len(blocks[c][0])
+                and np.array_equal(blocks[c][1][np.ix_(local[img], local[img])], B)):
             if c < k:
                 parts.append((swap[parts[c][0]], *parts[c][1:]))
             else:
-                parts.append((rows, *_swap_eigh(B, np.searchsorted(rows, img))))
+                parts.append((rows, *_swap_eigh(B, local[img])))
         else:
             parts.append((rows, *np.linalg.eigh(B)))
     return parts
 
 
-def psd_factor(M, swap=None):
-    """Eigen-truncated symmetric square root of M, clipping round-off negatives.
+def psd_factor(blocks, swap=None):
+    """Eigen-truncated symmetric square root of a block matrix M.
 
-    M must be symmetric: exactly, or to 1e-12 times max(1, max |M|), in
-    which case its symmetric part is used. The matrix splits into the
-    connected components of its exact-nonzero pattern (for a transform
-    covariance, its taper parity classes), and each block gets one
+    blocks are (rows, B) pairs: B is M[rows][:, rows], and M is zero
+    outside the blocks. Their rows must partition 0..n-1 and each B must
+    be square and exactly symmetric; a transform covariance gives its
+    taper parity classes (CovBlockMatrix.blocks). Each block gets one
     symmetric eigendecomposition. Eigenvalues below -1e-8 times the
     largest eigenvalue of M raise NotPsd; the eigenpairs above +1e-8 times
     it are kept and the rest are treated as zero, so each block's root
@@ -306,24 +268,24 @@ def psd_factor(M, swap=None):
     halves, two smaller eigendecompositions. Blocks that fail the exact
     check are decomposed as without swap.
     """
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DomainError("psd_factor requires a square matrix")
+    blocks = [(np.asarray(rows), np.asarray(B, dtype=np.float64))
+              for rows, B in blocks]
+    covered = np.concatenate([rows for rows, _ in blocks])
+    n = len(covered)
+    if not np.array_equal(np.sort(covered), np.arange(n)):
+        raise DomainError("psd_factor: the block rows must partition 0..n-1")
+    for rows, B in blocks:
+        if B.shape != (len(rows), len(rows)) or not np.array_equal(B, B.T):
+            raise DomainError("psd_factor requires square, exactly symmetric blocks")
     if swap is not None:
-        swap, rows = np.asarray(swap), np.arange(len(M))
+        swap, rows = np.asarray(swap), np.arange(n)
         if not (np.array_equal(np.sort(swap), rows)
                 and np.array_equal(swap[swap], rows)):
             raise DomainError("swap must be an involutive permutation of the rows")
-    if _is_symmetric(M):
-        sym = M
-    elif np.allclose(M, M.T, rtol=0, atol=1e-12 * max(1.0, np.abs(M).max())):
-        sym = 0.5 * (M + M.T)
-    else:
-        raise DomainError("psd_factor requires a symmetric matrix")
     # numpy's eigh is LAPACK dsyevd, as scipy's driver="evd"; scipy's runs
     # on scipy's own BLAS threads, which keep spinning after the call and
     # halved the speed of the sampling products that follow
-    parts = _eigen_blocks(sym, swap)
+    parts = _eigen_blocks(blocks, swap)
     top = max((lam.max() for _, lam, _ in parts), default=0.0)
     low = min((lam.min() for _, lam, _ in parts), default=0.0)
     floor = _PSD_CLIP_REL * top
@@ -332,11 +294,11 @@ def psd_factor(M, swap=None):
             f"matrix has an eigenvalue {low:.3e} below the clipping floor "
             f"{-floor:.3e} (-{_PSD_CLIP_REL:g} x the largest eigenvalue, {top:.3e})"
         )
-    blocks = []
+    factors = []
     for rows, lam, vec in parts:
         keep = lam > floor
-        blocks.append((rows, vec[:, keep] * np.sqrt(lam[keep]), vec[:, keep]))
-    return PsdFactor(dimension=M.shape[0], blocks=tuple(blocks))
+        factors.append((rows, vec[:, keep] * np.sqrt(lam[keep]), vec[:, keep]))
+    return PsdFactor(dimension=n, blocks=tuple(factors))
 
 
 def make_rng(seed):
@@ -344,6 +306,8 @@ def make_rng(seed):
 
     Philox is numpy's documented, versioned, cross-platform counter-based
     bit generator; all randomness in the package flows through here so a
-    single integer seed pins every draw.
+    single integer seed pins every draw. A negative seed raises DomainError.
     """
+    if seed < 0:
+        raise DomainError(f"the seed must be at least 0, got {seed}")
     return Generator(Philox(SeedSequence(seed)))

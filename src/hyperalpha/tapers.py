@@ -75,7 +75,6 @@ class TaperSet:
     """
 
     dim: int
-    i_max: int
     spatial_scale: float
     indices: tuple
     max_support: float
@@ -133,7 +132,6 @@ def build_taper_set(d, i_max, c=DEFAULT_SPATIAL_SCALE):
     tables = _support_tables(i_max - 1, c)
     return TaperSet(
         dim=d,
-        i_max=i_max,
         spatial_scale=c,
         indices=indices,
         max_support=max(_scan_support(i, tables, DEFAULT_SUPPORT_EPS)

@@ -203,7 +203,8 @@ class TestExitCodes:
         assert "input has 3 columns but --dim is 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", [["--ci-level", "1.5"],
-                                     ["--ci-draws", "0"]])
+                                     ["--ci-draws", "0"],
+                                     ["--ci-draws", "100000001"]])
     def test_bad_ci_request_refused_before_work(self, pattern_csv, bad,
                                                 monkeypatch, capsys):
         import hyperalpha.cli as cli
@@ -217,6 +218,31 @@ class TestExitCodes:
                    "--ci-level", "0.95", *bad])
         assert rc == 4
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--model", "poisson", "--half-width", "5",
+         "--output", "{tmp}/x.csv"],
+        ["estimate", "--input", "{input}", "--half-width", "12",
+         "--ci-level", "0.95"],
+        ["estimate", "--input", "{input}", "--half-width", "12",
+         "--poisson-reference"],
+        ["curve", "--input", "{input}", "--half-width", "12",
+         "--poisson-reference", "1", "--output", "{tmp}/c.csv"],
+        ["coverage", "--alpha", "0.5", "--half-width", "10",
+         "--replicates", "2"],
+    ], ids=["simulate", "estimate-ci", "estimate-poisson", "curve", "coverage"])
+    def test_negative_seed_refused_before_work(self, command, pattern_csv,
+                                               tmp_path, monkeypatch, capsys):
+        # numpy's SeedSequence refused it with a ValueError traceback,
+        # after the estimate had run when an interval was asked for
+        import hyperalpha.cli as cli
+        path, _ = pattern_csv
+        argv = [a.format(tmp=tmp_path, input=path) for a in command]
+        monkeypatch.setattr(cli, "_normalize", lambda *a: pytest.fail("ran"))
+        monkeypatch.setattr(cli, "cloaked_lattice", lambda *a: pytest.fail("ran"))
+        assert main(argv + ["--seed", "-1"]) == 4
+        assert "--seed must be at least 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_taper_order_limit_with_full_ci(self, pattern_csv, capsys):
         # orders up to i_max - 1; above 12 the closed-form covariance loses
@@ -296,9 +322,9 @@ class TestEstimate:
         # the interval comes from psd_factor's root, given the axis swap
         swaps = []
 
-        def recorded(matrix, swap=None):
+        def recorded(blocks, swap=None):
             swaps.append(swap)
-            return psd_factor(matrix, swap)
+            return psd_factor(blocks, swap)
 
         monkeypatch.setattr(inference, "psd_factor", recorded)
         path, _ = pattern_csv
@@ -546,7 +572,8 @@ class TestCoverageCommand:
         assert calls == []
 
     @pytest.mark.parametrize("bad", [["--ci-level", "0"],
-                                     ["--ci-draws", "0"]])
+                                     ["--ci-draws", "0"],
+                                     ["--ci-draws", "100000001"]])
     def test_bad_ci_request_refused_before_simulating(self, bad, monkeypatch,
                                                       capsys):
         import hyperalpha.cli as cli

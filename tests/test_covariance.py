@@ -276,6 +276,45 @@ class TestTransientMatrix:
         # structural zeros really are zero
         assert np.all(m.matrix[m.structural_zero] == 0.0)
 
+    def test_blocks_are_the_parity_classes(self, cov):
+        # one (rows, B) block per parity class, classes in the order of
+        # their first taper, rows ascending, B the dense matrix's block,
+        # and exact zeros between classes
+        set4, J, m = cov
+        parity = [tuple(np.asarray(i) % 2) for i in set4.indices]
+        first = [rows[0] for rows, _ in m.blocks]
+        assert first == [parity.index(p) for p in dict.fromkeys(parity)]
+        dense, covered = m.matrix, np.zeros((m.dim, m.dim), dtype=bool)
+        for rows, B in m.blocks:
+            assert np.all(np.diff(rows) > 0)
+            assert len({parity[r % len(parity)] for r in rows}) == 1
+            assert np.array_equal(dense[np.ix_(rows, rows)], B)
+            covered[np.ix_(rows, rows)] = True
+        assert sum(len(rows) for rows, _ in m.blocks) == m.dim
+        np.testing.assert_array_equal(covered, ~m.structural_zero)
+        assert np.all(dense[~covered] == 0.0)
+
+    def test_dense_matrix_split_into_blocks(self, cov):
+        # a matrix given to the constructor is stored as the same blocks;
+        # a scaled copy holds the blocks times the factor, bit for bit
+        _, _, m = cov
+        for c in (1.0, 3.0):
+            scaled = dataclasses.replace(m, matrix=m.matrix * c)
+            for (rows, B), (got_rows, got) in zip(m.blocks, scaled.blocks,
+                                                  strict=True):
+                assert np.array_equal(got_rows, rows)
+                assert got.tobytes() == (B * c).tobytes()
+
+    def test_dense_matrix_refused(self, cov):
+        _, _, m = cov
+        with pytest.raises(DomainError, match="shape"):
+            dataclasses.replace(m, matrix=m.matrix[:-1, :-1])
+        bad = m.matrix.copy()
+        r, c = np.argwhere(m.structural_zero)[7]
+        bad[r, c] = bad[c, r] = 1e-300
+        with pytest.raises(DomainError, match="parity classes"):
+            CovBlockMatrix(m.indices, m.scales, matrix=bad)
+
     def test_structural_zero_is_derived_not_stored(self):
         # the mask is read from the taper parities on demand, so no n x n
         # array rides along with every covariance; the row layout is read
@@ -340,7 +379,8 @@ class TestAsymptoticMatrix:
         # the limit
         assert np.all(m.matrix[:nI, nI:] == 0.0)
         # the same bytes as scipy's block_diag, signs of zeros included
-        one = covariance._assemble(set4.indices, np.ones(1), 0.8, 1.0)
+        one = CovBlockMatrix(set4.indices, np.ones(1), covariance._assemble(
+            set4.indices, np.ones(1), 0.8, 1.0)).matrix
         assert m.matrix.tobytes() == block_diag(one, one, one).tobytes()
 
     def test_structural_zero_is_the_parity_rule(self):

@@ -66,22 +66,24 @@ def dense_Z(cov, plan, count, seed, root):
     return np.concatenate(out)[:count]
 
 
-def dense_root(matrix, swap=None):
+def dense_root(blocks, swap=None):
     """The symmetric square root of the clipped matrix, from psd_factor's blocks."""
-    root = np.zeros(matrix.shape)
-    for rows, factor, basis in psd_factor(matrix, swap).blocks:
+    f = psd_factor(blocks, swap)
+    root = np.zeros((f.dimension, f.dimension))
+    for rows, factor, basis in f.blocks:
         root[np.ix_(rows, rows)] = factor @ basis.T
     return root
 
 
-def ranks(matrix, swap=None):
-    return [factor.shape[1] for _, factor, _ in psd_factor(matrix, swap).blocks]
+def ranks(blocks, swap=None):
+    return [factor.shape[1] for _, factor, _ in psd_factor(blocks, swap).blocks]
 
 
 @pytest.fixture(scope="module")
 def asymptotic_cov():
-    # 3 |J| blocks of 4 (parity class x scale); dimension 600 draws its
-    # normals in two 2048-row chunks per child seed
+    # 3 parity class blocks of 200 rows, block diagonal over the 50
+    # scales; dimension 600 draws its normals in two 2048-row chunks per
+    # child seed
     set4 = build_taper_set(2, 4)
     plan = default_scale_plan(0.5, 0.9, n_scales=50)
     cov = sigma_asymptotic(set4, plan.scales, 0.7)
@@ -95,7 +97,7 @@ class TestSampleZ:
         # one block at a time and chunked against one dense map of the same
         # normals through the densified square root
         _, plan, cov = request.getfixturevalue(case)
-        ref = dense_Z(cov, plan, 5000, 17, dense_root(cov.matrix, cov.swap))
+        ref = dense_Z(cov, plan, 5000, 17, dense_root(cov.blocks, cov.swap))
         got = sample_Z(cov, plan, 5000, seed=17).values
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.abs(ref).max()
 
@@ -104,9 +106,9 @@ class TestSampleZ:
         # one factor path for every covariance, positive definite or not
         swaps, covs = [], []
 
-        def counted(matrix, swap=None):
+        def counted(blocks, swap=None):
             swaps.append(swap)
-            return psd_factor(matrix, swap)
+            return psd_factor(blocks, swap)
 
         def captured(*args):
             covs.append(sigma_transient(*args))
@@ -143,18 +145,20 @@ class TestSampleZ:
 
     def test_peak_memory_full_preset(self):
         # the benchmark's interval covariance (dimension 3750, Cholesky
-        # fails); one 4096-draw block once held three 4096 x 3750 arrays
+        # fails), built and sampled: one 4096-draw block once held three
+        # 4096 x 3750 arrays, and the covariance was once stored dense,
+        # 3750^2 floats (112.5 MB), two thirds of them parity zeros
         set10 = build_taper_set(2, 10)
         plan = default_scale_plan(0.73, 0.9692886836023428, 50)
-        cov = sigma_transient(set10, plan.scales, 1.130756822160043,
-                              40.049968789001575)
         tracemalloc.start()
         try:
+            cov = sigma_transient(set10, plan.scales, 1.130756822160043,
+                                  40.049968789001575)
             sample_Z(cov, plan, 4096, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 150e6
+        assert peak < 3750**2 * 8
 
     def test_deterministic(self, small_cov):
         _, plan, cov = small_cov
@@ -188,8 +192,9 @@ class TestSampleZ:
         _, _, cov = fallback_cov
         e = np.random.default_rng(0).standard_normal(cov.matrix.shape)
         e = 0.5 * (e + e.T)
-        root = dense_root(cov.matrix)
-        moved = dense_root(cov.matrix * (1.0 + 1e-15 * e))
+        root = dense_root(cov.blocks)
+        moved = dense_root(dataclasses.replace(
+            cov, matrix=cov.matrix * (1.0 + 1e-15 * e)).blocks)
         assert np.max(np.abs(moved - root)) <= 1e-9 * np.abs(root).max()
 
     def test_fallback_matches_dense_eigen_factor(self, fallback_cov):
@@ -234,6 +239,15 @@ class TestSampleZ:
         _, plan, cov = small_cov
         with pytest.raises(DomainError):
             sample_Z(cov, plan, 0, seed=0)
+        # refused before the child seeds and the output are allocated
+        with pytest.raises(DomainError, match="draws"):
+            sample_Z(cov, plan, inference.MAX_CI_DRAWS + 1, seed=0)
+
+    def test_negative_seed_refused(self, small_cov):
+        # numpy's SeedSequence would raise a bare ValueError
+        _, plan, cov = small_cov
+        with pytest.raises(DomainError, match="seed"):
+            sample_Z(cov, plan, 10, seed=-1)
 
     def test_plan_dimension_mismatch(self, small_cov):
         set4, _, cov = small_cov
@@ -261,14 +275,14 @@ class TestAxisSwapFactor:
 
     def test_root_matches_plain_root(self, fallback_cov):
         _, _, cov = fallback_cov
-        plain = dense_root(cov.matrix)
-        root = dense_root(cov.matrix, cov.swap)
+        plain = dense_root(cov.blocks)
+        root = dense_root(cov.blocks, cov.swap)
         assert np.max(np.abs(root - plain)) <= 1e-10 * np.abs(plain).max()
-        assert ranks(cov.matrix, cov.swap) == ranks(cov.matrix)
+        assert ranks(cov.blocks, cov.swap) == ranks(cov.blocks)
 
     def test_swapped_blocks_factored_once(self, fallback_cov, eigh_sizes):
         _, plan, cov = fallback_cov
-        psd_factor(cov.matrix, cov.swap)
+        psd_factor(cov.blocks, cov.swap)
         assert eigh_sizes == [100, 75, 25]
         # sample_Z hands the covariance's swap on
         del eigh_sizes[:]
@@ -282,22 +296,22 @@ class TestAxisSwapFactor:
         # factor is the one computed without the swap
         _, _, cov = fallback_cov
         e = np.random.default_rng(0).standard_normal(cov.matrix.shape)
-        moved = cov.matrix * (1.0 + 1e-15 * (e + e.T) / 2.0)
+        moved = dataclasses.replace(
+            cov, matrix=cov.matrix * (1.0 + 1e-15 * (e + e.T) / 2.0)).blocks
         got = psd_factor(moved, cov.swap)
         assert eigh_sizes == [100, 100, 100]
         want = psd_factor(moved)
         for a, b in zip(got.blocks, want.blocks, strict=True):
             for x, y in zip(a, b):
                 np.testing.assert_array_equal(x, y)
-        root = dense_root(cov.matrix, cov.swap)
+        root = dense_root(cov.blocks, cov.swap)
         assert (np.max(np.abs(dense_root(moved, cov.swap) - root))
                 <= 1e-9 * np.abs(root).max())
 
 
 class TestQuantile:
     def test_hand_check(self):
-        zs = ZSample(values=np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
-                     beta=0.0, R=10.0, seed=0)
+        zs = ZSample(values=np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
         assert quantile(zs, 0.5) == pytest.approx(3.0)
         assert quantile(zs, 0.0) == pytest.approx(1.0)
         assert quantile(zs, 1.0) == pytest.approx(5.0)
@@ -305,7 +319,7 @@ class TestQuantile:
         assert quantile(zs, 0.625) == pytest.approx(3.5)
 
     def test_range_validation(self):
-        zs = ZSample(values=np.zeros(4), beta=0.0, R=10.0, seed=0)
+        zs = ZSample(values=np.zeros(4))
         with pytest.raises(DomainError):
             quantile(zs, 1.2)
 

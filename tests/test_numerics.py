@@ -206,23 +206,42 @@ def dense(f):
     return factor, basis
 
 
+def one_block(m):
+    """m as a single (rows, B) block."""
+    return [(np.arange(len(m)), m)]
+
+
+def assembled(blocks):
+    """The matrix of (rows, B) blocks, zero outside them."""
+    n = sum(len(rows) for rows, _ in blocks)
+    m = np.zeros((n, n))
+    for rows, B in blocks:
+        m[np.ix_(rows, rows)] = B
+    return m
+
+
+def symmetrized(m):
+    """m's upper triangle mirrored, so the result is exactly symmetric."""
+    return np.triu(m) + np.triu(m, 1).T
+
+
 class TestPsdFactor:
     def test_reconstructs(self):
         rng = np.random.default_rng(11)
         a = rng.normal(size=(6, 6))
-        m = a @ a.T
-        factor, _ = dense(psd_factor(m))
+        m = symmetrized(a @ a.T)
+        factor, _ = dense(psd_factor(one_block(m)))
         np.testing.assert_allclose(factor @ factor.T, m, atol=1e-10)
 
     def test_semidefinite_ok(self):
         v = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank 1
-        factor, _ = dense(psd_factor(v))
+        factor, _ = dense(psd_factor(one_block(v)))
         np.testing.assert_allclose(factor @ factor.T, v, atol=1e-12)
 
     def test_rejects_indefinite(self):
         m = np.array([[1.0, 0.0], [0.0, -0.5]])
         with pytest.raises(NotPsd):
-            psd_factor(m)
+            psd_factor(one_block(m))
 
     def test_block_structured_rank_deficient(self):
         # three interleaved blocks, like the parity classes of a covariance,
@@ -230,12 +249,13 @@ class TestPsdFactor:
         rng = np.random.default_rng(5)
         n, ranks = 30, (2, 3, 4)
         label = np.arange(n) % 3
-        m = np.zeros((n, n))
+        blocks = []
         for b, r in enumerate(ranks):
             rows = np.flatnonzero(label == b)
             g = rng.normal(size=(len(rows), r))
-            m[np.ix_(rows, rows)] = g @ g.T
-        factor, basis = dense(psd_factor(m))
+            blocks.append((rows, symmetrized(g @ g.T)))
+        m = assembled(blocks)
+        factor, basis = dense(psd_factor(blocks))
         assert factor.shape == (n, sum(ranks))
         assert np.abs(factor @ factor.T - m).max() <= 1e-10 * np.abs(m).max()
         for cols in (factor, basis):
@@ -245,8 +265,8 @@ class TestPsdFactor:
     def test_basis_gives_symmetric_square_root(self):
         rng = np.random.default_rng(8)
         g = rng.normal(size=(12, 5))
-        m = g @ g.T
-        factor, basis = dense(psd_factor(m))
+        m = symmetrized(g @ g.T)
+        factor, basis = dense(psd_factor(one_block(m)))
         np.testing.assert_allclose(basis.T @ basis, np.eye(5), atol=1e-12)
         root = factor @ basis.T
         np.testing.assert_allclose(root, root.T, atol=1e-12)
@@ -255,24 +275,24 @@ class TestPsdFactor:
 
     @pytest.mark.parametrize("neg, raises", [(-1e-6, True), (-1e-9, False)])
     def test_clipping_threshold_both_sides(self, neg, raises):
-        # one eigenvalue at neg times the top one, in one dense block and,
-        # split off, in a second block whose own top is far smaller: the
+        # one eigenvalue at neg times the top one, in one block and, split
+        # off, in a second block whose own top is far smaller: the
         # threshold is relative to the whole matrix's largest eigenvalue
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
         one = q @ np.diag([1.0, 0.5, 0.3, 0.1, 0.0, neg]) @ q.T
         q2, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-        two = np.zeros((10, 10))
-        two[:6, :6] = q @ np.diag([1.0, 0.5, 0.3, 0.1, 0.2, 0.4]) @ q.T
-        two[6:, 6:] = q2 @ np.diag([1e-3, 1e-4, 0.0, neg]) @ q2.T
-        for m in (0.5 * (one + one.T), 0.5 * (two + two.T)):
+        top = q @ np.diag([1.0, 0.5, 0.3, 0.1, 0.2, 0.4]) @ q.T
+        low = q2 @ np.diag([1e-3, 1e-4, 0.0, neg]) @ q2.T
+        two = [(np.arange(6), symmetrized(top)),
+               (np.arange(6, 10), symmetrized(low))]
+        for blocks in (one_block(symmetrized(one)), two):
             if raises:
                 with pytest.raises(NotPsd):
-                    psd_factor(m)
+                    psd_factor(blocks)
             else:
-                factor, _ = dense(psd_factor(m))
-                assert np.abs(factor @ factor.T - m).max() <= 1e-7
-
+                factor, _ = dense(psd_factor(blocks))
+                assert np.abs(factor @ factor.T - assembled(blocks)).max() <= 1e-7
 
     @pytest.mark.parametrize("neg, raises", [(-1e-6, True), (-1e-9, False)])
     def test_clipping_in_swap_odd_half(self, neg, raises, eigh_sizes):
@@ -296,56 +316,43 @@ class TestPsdFactor:
         assert np.all(m != 0.0)
         if raises:
             with pytest.raises(NotPsd):
-                psd_factor(m, swap)
+                psd_factor(one_block(m), swap)
         else:
-            factor, basis = dense(psd_factor(m, swap))
+            factor, basis = dense(psd_factor(one_block(m), swap))
             assert np.abs(factor @ factor.T - m).max() <= 1e-7
             np.testing.assert_allclose(basis.T @ basis, np.eye(5), atol=1e-12)
         assert eigh_sizes == [4, 3]
 
     def test_swap_must_be_an_involution(self):
-        m = np.eye(3)
+        blocks = one_block(np.eye(3))
         for swap in ([1, 2, 0], [0, 1], [0, 0, 2]):
             with pytest.raises(DomainError):
-                psd_factor(m, np.array(swap))
-
-    @staticmethod
-    def symmetric_600():
-        # 600 = 2 x 256 + 88, so the last tile row and column are partial
-        g = np.random.default_rng(1).normal(size=(600, 40))
-        m = g @ g.T
-        return np.triu(m) + np.triu(m, 1).T
-
-    def test_exactly_symmetric_input_used_as_given(self, monkeypatch):
-        m = self.symmetric_600()
-        assert numerics._is_symmetric(m)
-        monkeypatch.setattr(numerics.np, "allclose", lambda *a, **k: pytest.fail(
-            "averaged an exactly symmetric matrix"))
-        psd_factor(m)
-
-    @pytest.mark.parametrize("i, j", [(10, 300), (550, 20), (590, 580)])
-    def test_round_off_asymmetry_averaged(self, i, j):
-        # one entry pair off by 1e-14 x max |M|: in a full off-diagonal
-        # tile, in a partial one, and in the partial diagonal tile
-        m = self.symmetric_600()
-        m[i, j] += 1e-14 * np.abs(m).max()
-        assert not numerics._is_symmetric(m)
-        got = psd_factor(m).blocks
-        want = psd_factor(0.5 * (m + m.T)).blocks
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            for x, y in zip(a, b):
-                np.testing.assert_array_equal(x, y)
+                psd_factor(blocks, np.array(swap))
 
     def test_asymmetric_input_rejected(self):
-        m = self.symmetric_600()
-        m[590, 20] += 1e-6 * np.abs(m).max()
-        with pytest.raises(DomainError):
-            psd_factor(m)
+        # the blocks are used as given: a round-off asymmetry is refused
+        # as firmly as a gross one
+        g = np.random.default_rng(1).normal(size=(6, 4))
+        for rel in (1e-6, 1e-14):
+            m = symmetrized(g @ g.T)
+            m[4, 1] += rel * np.abs(m).max()
+            with pytest.raises(DomainError, match="symmetric"):
+                psd_factor([(np.array([0, 1]), np.eye(2)),
+                            (np.arange(2, 8), m)])
 
     def test_non_square_rejected(self):
-        with pytest.raises(DomainError):
-            psd_factor(np.ones((600, 599)))
+        for rows, B in ((np.arange(600), np.ones((600, 599))),
+                        (np.arange(3), np.eye(4))):
+            with pytest.raises(DomainError, match="square"):
+                psd_factor([(rows, B)])
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 1], [1, 2]], [[0, 2]], [[-1, 0]], [[0, 0]], [[1, 2], [3]],
+    ], ids=["overlap", "gap", "negative", "repeated", "no-zero"])
+    def test_rows_must_partition(self, rows):
+        blocks = [(np.array(r), np.eye(len(r))) for r in rows]
+        with pytest.raises(DomainError, match="partition"):
+            psd_factor(blocks)
 
 
 class TestRng:
@@ -353,3 +360,8 @@ class TestRng:
         a = make_rng(123).normal(size=5)
         b = make_rng(123).normal(size=5)
         np.testing.assert_array_equal(a, b)
+
+    def test_negative_seed_refused(self):
+        # numpy's SeedSequence would raise a bare ValueError
+        with pytest.raises(DomainError, match="seed"):
+            make_rng(-1)
