@@ -154,8 +154,8 @@ def run_pipeline(pattern, i_max=DEFAULT_IMAX, taper_scale=DEFAULT_SPATIAL_SCALE,
 
     When an interval is requested the reduced preset drives both the point
     estimate and the interval (so the interval is centered correctly);
-    ci_full opts into full-size covariance sampling instead. The interval's
-    level and draw count are checked before any work.
+    ci_full opts into the full preset, where a 2-D interval takes no draws
+    at the default i_max. Level and draw count are checked before any work.
     """
     if ci_level is not None:
         check_ci_request(ci_level, ci_draws)
@@ -380,10 +380,11 @@ def build_parser():
     est.add_argument("--output", default=None, help="write JSON here (default stdout)")
     est.add_argument("--ci-level", type=float, default=None,
                      help="confidence level, e.g. 0.95; omitting skips the CI")
-    est.add_argument("--ci-draws", type=int, default=DEFAULT_CI_DRAWS)
+    est.add_argument("--ci-draws", type=int, default=DEFAULT_CI_DRAWS,
+                     help="pivot draws, at --seed, where the CI is Monte Carlo")
     est.add_argument("--ci-full", action="store_true",
-                     help="use the full preset (--imax, --nscales) for the "
-                          "estimate and the CI, not the reduced one")
+                     help="use the full preset (--imax, --nscales) for the estimate "
+                          "and the CI; at the default --imax a 2-D CI takes no draws")
     est.add_argument("--curve-output", default=None,
                      help="also write the diagnostic curve CSV here")
     est.add_argument("--poisson-reference", action="store_true",

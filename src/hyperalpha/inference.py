@@ -1,11 +1,13 @@
-"""Asymptotic confidence intervals via Monte Carlo quantiles of the pivot.
+"""Asymptotic confidence intervals from quantiles of the pivot.
 
 The pivot Z is the weighted log of per-scale chi-square sums of a Gaussian
 vector with the transform covariance. Z is invariant under any common
 scaling of that covariance (the weights sum to zero), which is what lets
-the matrix drop overall constants.
+the matrix drop overall constants. Its quantiles come from cumulants or draws.
 """
 
+import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,9 @@ _CHUNK_NORMALS = 2**21
 DEFAULT_CI_DRAWS = 20000
 # the most draws, 800 MB of pivot values; the simulators cap points at 1e8 too
 MAX_CI_DRAWS = 10**8
+# least nu_j for Cornish-Fisher quantiles: the full d = 2 preset (56-72) is within
+# 1.8 Monte Carlo standard errors; i_max 8 (43-46) missed by 3.3, nu <= 11 by 3-15
+_CF_MIN_DOF = 50
 
 
 @dataclass(frozen=True)
@@ -125,13 +130,56 @@ def check_ci_request(level, draws):
         raise DomainError(f"--ci-draws must be 1 to {MAX_CI_DRAWS:.0e}, got {draws}")
 
 
-def pivot_quantiles(set_, plan, beta, R, level, draws=DEFAULT_CI_DRAWS, seed=0):
-    """(lower, upper) pivot quantiles at the given confidence level."""
-    check_ci_request(level, draws)
-    cov = sigma_transient(set_, plan.scales, beta, R)
+def cumulant_quantiles(cov, plan, level):
+    """Pivot quantiles (lower, upper), min nu_j and skew from cov.blocks alone.
+
+    Scale j's chi-square sum has mean mu_j = tr C_jj; the sums over their
+    means have covariance V_jk = 2 ||C_jk||_F^2 / (mu_j mu_k), exact for
+    Gaussian quadratic forms, and nu_j = 2 / V_jj. The delta method gives
+    the mean m = sum w_j (log mu_j - V_jj / 2) and variance s^2 = w'Vw; the
+    linear part N'AN, A = diag(w_j / mu_j) on scale j's rows, has third
+    cumulant 8 tr((AC)^3) over blocks. Cornish-Fisher: m + s (z + skew (z^2 - 1) / 6).
+    """
+    if not 0 < level < 1:
+        raise DomainError("confidence level must be in (0, 1)")
+    if not np.array_equal(plan.scales, cov.scales):
+        raise DomainError("the plan's scales are not the covariance's")
+    nJ, w = len(plan), plan.weights
+    mu, frob = np.zeros(nJ), np.zeros((nJ, nJ))
+    for rows, B in cov.blocks:
+        # ascending scale-major rows: the same tapers at every scale
+        Bs = B.reshape(nJ, len(rows) // nJ, nJ, -1)
+        mu += np.einsum("jiji->j", Bs)
+        frob += np.einsum("jakb,jakb->jk", Bs, Bs)
+    if np.any(mu <= 0.0):
+        raise ZeroTransformSum("a scale has a zero-trace covariance block")
+    V = 2.0 * frob / np.outer(mu, mu)
+    m, s = w @ (np.log(mu) - np.diag(V) / 2.0), np.sqrt(w @ V @ w)
+    kappa3 = 0.0
+    for rows, B in cov.blocks:
+        AB = np.repeat(w / mu, len(rows) // nJ)[:, None] * B
+        kappa3 += 8.0 * np.einsum("ij,ji->", AB @ AB, AB)
+    skew = kappa3 / s**3
+    z = 0.0  # the normal quantile at (1 + level) / 2, by Newton on the convex tail
+    for _ in range(50):
+        z += ((math.erfc(z / math.sqrt(2.0)) - (1.0 - level))
+              * math.sqrt(math.pi / 2.0) * math.exp(z * z / 2.0))
+    shift = skew * (z * z - 1.0) / 6.0
+    return (float(m + s * (shift - z)), float(m + s * (shift + z)),
+            float(np.min(2.0 / np.diag(V))), float(skew))
+
+
+def _sampled_quantiles(cov, plan, level, draws, seed):
     zs = sample_Z(cov, plan, draws, seed)
     a = 1.0 - level
     return quantile(zs, a / 2.0), quantile(zs, 1.0 - a / 2.0)
+
+
+def pivot_quantiles(set_, plan, beta, R, level, draws=DEFAULT_CI_DRAWS, seed=0):
+    """(lower, upper) Monte Carlo pivot quantiles at the given confidence level."""
+    check_ci_request(level, draws)
+    return _sampled_quantiles(sigma_transient(set_, plan.scales, beta, R),
+                              plan, level, draws, seed)
 
 
 def confidence_interval(report, set_, level=0.95, draws=DEFAULT_CI_DRAWS,
@@ -140,18 +188,24 @@ def confidence_interval(report, set_, level=0.95, draws=DEFAULT_CI_DRAWS,
 
     The covariance is evaluated at beta = max(alpha_hat, 0) unless a value
     is supplied (simulation studies with known truth pass it directly).
-    The report must carry its scale plan, as estimate_alpha's does.
+    The report must carry its scale plan. The pivot quantiles are
+    cumulant_quantiles' if min nu_j >= _CF_MIN_DOF, else from `draws` draws
+    at `seed`. A clipped alpha_hat < 0, or one >= d, logs a warning.
     """
     plan = report.plan
     if plan is None:
         raise DomainError("no scale plan available for interval construction")
-    if beta is None:
-        beta = max(report.alpha_hat, 0.0)
-    q_lo, q_hi = pivot_quantiles(set_, plan, beta, report.R, level, draws, seed)
+    check_ci_request(level, draws)
+    alpha = report.alpha_hat
+    if (beta is None and alpha < 0) or alpha >= set_.dim:
+        logging.getLogger("hyperalpha").warning(
+            "the interval assumes 0 <= alpha < d = %d, but alpha_hat = %.4g%s",
+            set_.dim, alpha, " (clipped to beta = 0)" if alpha < 0 else "")
+    cov = sigma_transient(set_, plan.scales, max(alpha, 0.0) if beta is None
+                          else beta, report.R)
+    q_lo, q_hi, nu_min, _ = cumulant_quantiles(cov, plan, level)
+    if nu_min < _CF_MIN_DOF:
+        q_lo, q_hi = _sampled_quantiles(cov, plan, level, draws, seed)
     log_R = np.log(report.R)
-    return ConfidenceInterval(
-        lo=report.alpha_hat - q_hi / log_R,
-        hi=report.alpha_hat - q_lo / log_R,
-        level=level,
-        alpha_hat=report.alpha_hat,
-    )
+    return ConfidenceInterval(lo=alpha - q_hi / log_R, hi=alpha - q_lo / log_R,
+                              level=level, alpha_hat=alpha)

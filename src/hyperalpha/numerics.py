@@ -18,16 +18,20 @@ from numpy.random import Generator, Philox, SeedSequence
 from .errors import DomainError, NoConvergence, NotPsd, Overflow
 
 _PI_QUARTER_INV = pi ** -0.25
+# B_16, B_14, ..., B_2 and 0: trigamma's series in 1/x^2, highest power first
+_TRIGAMMA_B = (-3617/510, 7/6, -691/2730, 5/66, -1/30, 1/42, -1/30, 1/6, 0.0)
 
 
 def trigamma(m):
-    """Trigamma psi1(m) for real m >= 1."""
-    if m < 1:
+    """Trigamma psi1(m) for real m >= 1, to a few ulp: psi1(m) = psi1(m + 1)
+    + 1/m^2 up to x >= 10, then 1/x + 1/(2x^2) + sum_k B_2k / x^(2k+1)
+    through B_16 (Abramowitz & Stegun 6.4.12), the smallest terms first."""
+    if not m >= 1:
         raise DomainError(f"trigamma requires m >= 1, got {m}")
-    # imported here: scipy.special would be a third of every CLI start-up,
-    # and no CLI path calls trigamma
-    from scipy.special import polygamma
-    return float(polygamma(1, m))
+    x = float(m)
+    if x < 10.0:
+        return trigamma(x + 1.0) + 1.0 / (x * x)
+    return float(1.0 + 0.5 / x + np.polyval(_TRIGAMMA_B, 1.0 / (x * x))) / x
 
 
 def angular_moment(p, q):

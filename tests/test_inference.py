@@ -1,25 +1,29 @@
 import dataclasses
+import logging
 import math
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from hyperalpha import inference
 from hyperalpha.cli import run_pipeline
-from hyperalpha.covariance import sigma_asymptotic, sigma_transient
+from hyperalpha.covariance import CovBlockMatrix, sigma_asymptotic, sigma_transient
 from hyperalpha.errors import DomainError
-from hyperalpha.estimator import EstimateReport, default_scale_plan
+from hyperalpha.estimator import (EstimateReport, default_scale_plan,
+                                  least_squares_weights)
 from hyperalpha.inference import (
     ConfidenceInterval,
     ZSample,
     confidence_interval,
+    cumulant_quantiles,
     pivot_quantiles,
     quantile,
     sample_Z,
 )
 from hyperalpha.numerics import psd_factor, trigamma
-from hyperalpha.simulate import cloaked_lattice
+from hyperalpha.simulate import cloaked_lattice, poisson
 from hyperalpha.tapers import build_taper_set
 
 
@@ -398,3 +402,147 @@ class TestConfidenceInterval:
                              n_points=10)
         with pytest.raises(DomainError):
             confidence_interval(rpt, set4, draws=100)
+
+    @pytest.mark.parametrize("alpha_hat, beta, named", [
+        (-0.3, None, "clipped to beta = 0"),
+        (2.0, None, "alpha < d = 2"),
+        (2.4, 1.0, "alpha < d = 2"),
+        (0.6, None, None),
+        (-0.3, 0.0, None),
+    ])
+    def test_warns_where_the_theory_does_not_apply(self, small_cov, caplog,
+                                                   capsys, alpha_hat, beta, named):
+        # the interval needs 0 <= alpha < d: a clipped negative estimate
+        # or one at or above d logs one warning, and nothing goes to stdout
+        set4, plan, _ = small_cov
+        with caplog.at_level(logging.WARNING, logger="hyperalpha"):
+            confidence_interval(report_stub(alpha_hat, plan), set4, draws=200,
+                                seed=1, beta=beta)
+        messages = [r.getMessage() for r in caplog.records if r.name == "hyperalpha"]
+        assert len(messages) == (named is not None)
+        assert named is None or named in messages[0]
+        assert capsys.readouterr().out == ""
+
+
+def dense_cumulants(cov, plan):
+    """mu_j, V and 8 tr((AC)^3) from the dense matrix, one scale block at a time."""
+    C, nJ = cov.matrix, len(plan)
+    nI = cov.dim // nJ
+    sub = [[C[j * nI:(j + 1) * nI, k * nI:(k + 1) * nI] for k in range(nJ)]
+           for j in range(nJ)]
+    mu = np.array([np.trace(sub[j][j]) for j in range(nJ)])
+    V = np.array([[2.0 * np.sum(sub[j][k] ** 2) / (mu[j] * mu[k])
+                   for k in range(nJ)] for j in range(nJ)])
+    AC = np.repeat(plan.weights / mu, nI)[:, None] * C
+    return mu, V, 8.0 * np.trace(AC @ AC @ AC)
+
+
+class TestCumulantQuantiles:
+    @pytest.mark.parametrize("case", ["small_cov", "fallback_cov"])
+    def test_matches_dense_cumulants(self, case, request):
+        # the block-wise traces, norms and cubes against the dense matrix,
+        # with the quantile formula written out
+        _, plan, cov = request.getfixturevalue(case)
+        mu, V, kappa3 = dense_cumulants(cov, plan)
+        w = plan.weights
+        m = w @ (np.log(mu) - np.diag(V) / 2.0)
+        s = math.sqrt(w @ V @ w)
+        skew = kappa3 / s**3
+        z = 1.959963984540054  # the 0.975 normal quantile, for level 0.95
+        lo, hi, nu_min, got_skew = cumulant_quantiles(cov, plan, 0.95)
+        assert got_skew == pytest.approx(skew, rel=1e-10)
+        assert nu_min == pytest.approx(np.min(2.0 / np.diag(V)), rel=1e-12)
+        for got, sign in ((lo, -1.0), (hi, 1.0)):
+            want = m + s * (sign * z + skew * (z * z - 1.0) / 6.0)
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.999999])
+    def test_diagonal_covariance(self, level):
+        # independent normals with variances d_ji: scale j's sum has
+        # mu_j = sum_i d_ji, V_jj = 2 sum_i d_ji^2 / mu_j^2, V_jk = 0 off the
+        # diagonal, and 8 tr((AC)^3) = 8 sum_j (w_j / mu_j)^3 sum_i d_ji^3;
+        # unequal spreads across the scales make nu_j and the mean's
+        # -V_jj / 2 terms differ, and uneven scales make sum w^3 nonzero
+        set4 = build_taper_set(2, 4)
+        plan = least_squares_weights(np.array([0.5, 0.6, 1.0]))
+        d = 1.0 + np.outer([0.0, 1.0, 4.0], np.arange(12) % 3)
+        cov = CovBlockMatrix(indices=set4.indices, scales=plan.scales,
+                             matrix=np.diag(d.ravel()))
+        w, mu = plan.weights, d.sum(axis=1)
+        Vd = 2.0 * np.sum(d**2, axis=1) / mu**2
+        m = w @ (np.log(mu) - Vd / 2.0)
+        s = math.sqrt(w**2 @ Vd)
+        skew = 8.0 * np.sum((w / mu) ** 3 * np.sum(d**3, axis=1)) / s**3
+        z = -NormalDist().inv_cdf((1.0 - level) / 2.0)  # the tail to full precision
+        lo, hi, nu_min, got_skew = cumulant_quantiles(cov, plan, level)
+        assert nu_min == pytest.approx(np.min(2.0 / Vd), rel=1e-12)
+        assert got_skew == pytest.approx(skew, rel=1e-12) and abs(skew) > 0.1
+        for got, sign in ((lo, -1.0), (hi, 1.0)):
+            want = m + s * (sign * z + skew * (z * z - 1.0) / 6.0)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_validation(self, small_cov):
+        _, plan, cov = small_cov
+        for level in (0.0, 1.0):
+            with pytest.raises(DomainError):
+                cumulant_quantiles(cov, plan, level)
+        with pytest.raises(DomainError, match="scales"):
+            cumulant_quantiles(cov, default_scale_plan(0.5, 0.8, n_scales=5), 0.95)
+
+    @pytest.mark.parametrize("R", [25.0, 40.0])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_within_monte_carlo_band(self, set10, alpha, R):
+        # the gate, grid and bound fixed in advance: full d = 2 preset
+        # (i_max 10) over 8 scales from the knee, beta the true exponent;
+        # every scale has at least _CF_MIN_DOF degrees of freedom, and each
+        # end lies in the order-statistic band k +- 4 sqrt(n q (1 - q)) of
+        # 2^14 draws
+        report, _ = run_pipeline(cloaked_lattice(alpha, 0.25, R, 1), n_scales=8)
+        cov = sigma_transient(set10, report.plan.scales, alpha, report.R)
+        lo, hi, nu_min, _ = cumulant_quantiles(cov, report.plan, 0.95)
+        assert nu_min >= inference._CF_MIN_DOF
+        values = np.sort(sample_Z(cov, report.plan, 2**14, seed=7).values)
+        n = len(values)
+        for q, end in ((0.025, lo), (0.975, hi)):
+            half = 4.0 * math.sqrt(n * q * (1.0 - q))
+            band = values[math.floor(n * q - half)], values[math.ceil(n * q + half)]
+            assert band[0] <= end <= band[1]
+
+
+class TestQuantileDispatch:
+    def test_full_preset_needs_no_factor_and_no_draws(self, set10, monkeypatch):
+        # the benchmark's interval covariance (min nu_j 64.5): the ends come
+        # from the cumulants, read from the blocks, and depend on neither
+        # the seed nor the draw count
+        calls = []
+        monkeypatch.setattr(inference, "psd_factor",
+                            lambda *a: calls.append("psd_factor"))
+        monkeypatch.setattr(inference, "sample_Z",
+                            lambda *a: calls.append("sample_Z"))
+        monkeypatch.setattr(CovBlockMatrix, "matrix", property(
+            lambda self: calls.append("matrix")))
+        plan = default_scale_plan(0.73, 0.9692886836023428, 50)
+        rpt = report_stub(1.130756822160043, plan, R=40.049968789001575)
+        ends = {(ci.lo, ci.hi) for seed, draws in ((0, 256), (5, 256), (0, 20_000))
+                for ci in [confidence_interval(rpt, set10, draws=draws, seed=seed)]}
+        assert calls == [] and len(ends) == 1
+
+    @pytest.mark.parametrize("case", ["imax4", "reduced", "d1", "imax9"])
+    def test_few_degrees_of_freedom_sample(self, case, monkeypatch):
+        # below _CF_MIN_DOF (nu about 11 at i_max 4 and the reduced preset,
+        # 5 in d = 1, 49.7 at i_max 9) the interval is Monte Carlo's, with
+        # the given draws and seed
+        calls = []
+
+        def counted(cov, plan, count, seed):
+            calls.append((count, seed))
+            return sample_Z(cov, plan, count, seed)
+
+        monkeypatch.setattr(inference, "sample_Z", counted)
+        kwargs = {"imax4": dict(i_max=4, n_scales=8, ci_full=True),
+                  "imax9": dict(i_max=9, n_scales=8, ci_full=True),
+                  "reduced": {}, "d1": {}}[case]
+        pattern = (poisson(1.0, 50.0, 1, d=1) if case == "d1"
+                   else cloaked_lattice(1.0, 0.25, 12.0, 1))
+        run_pipeline(pattern, ci_level=0.95, ci_draws=300, seed=3, **kwargs)
+        assert calls == [(300, 3)]

@@ -46,6 +46,18 @@ class TestTrigamma:
     def test_rejects_below_one(self):
         with pytest.raises(DomainError):
             trigamma(0.5)
+        with pytest.raises(DomainError):
+            trigamma(float("nan"))
+
+    def test_matches_scipy_polygamma(self):
+        # recurrence and asymptotic series against scipy on a fixed grid
+        # over [1, 1e6], half-integers (|I| / 2) included: at most 4 ulp
+        from scipy.special import polygamma
+        grid = np.concatenate([np.arange(1.0, 40.0, 0.5), np.linspace(1.0, 20.0, 191),
+                               np.geomspace(1.0, 1e6, 241)])
+        for x in grid:
+            ref = float(polygamma(1, x))
+            assert abs(trigamma(x) - ref) <= 4 * np.spacing(ref), x
 
 
 class TestAngularMoment:
