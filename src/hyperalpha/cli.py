@@ -12,6 +12,7 @@ import json
 # argparse's gettext imports locale when main() builds the first parser;
 # imported here, that load is part of the import, as numpy's are
 import locale  # noqa: F401
+import logging
 import sys
 import warnings
 
@@ -97,8 +98,8 @@ def _build_pattern(coords, dim, half_width):
         )
     if half_width is None:
         half_width = float(np.max(np.abs(coords)))
-        print(f"# window half-width not given; using max |coordinate| = "
-              f"{half_width!r}", file=sys.stderr)
+        logging.getLogger("hyperalpha").warning(
+            "window half-width not given; using max |coordinate| = %r", half_width)
     try:
         return PointPattern(coords, Window(half_width=float(half_width)), dim=dim)
     except HyperalphaError as exc:
@@ -222,8 +223,8 @@ def _cmd_estimate(args):
         )
         reports.append(report)
     if len(patterns) > 1 and args.ci_level is not None:
-        print("# intervals are per-pattern; skipping CI for pooled frames",
-              file=sys.stderr)
+        logging.getLogger("hyperalpha").warning(
+            "intervals are per-pattern; skipping CI for pooled frames")
     alpha = pooled_estimate(reports)
     lead = reports[0]
     curve_path = None

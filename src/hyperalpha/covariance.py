@@ -33,8 +33,7 @@ In d = 2 the covariance is isotropic: swapping the axes of both tapers,
 (a, b) -> (b, a), leaves an entry unchanged, although its degree
 tables are convolved in the other order. Each swap orbit of taper pairs
 is computed once and written to every member, so the matrix is exactly
-invariant under the row permutation CovBlockMatrix.swap, and psd_factor
-factors the swapped parity blocks once.
+invariant under the axis swap.
 
 Entries are for unscaled tapers. The physical taper scale c contributes a
 common factor c^(beta-d); a common factor scales every chi-square block
@@ -176,7 +175,7 @@ class CovBlockMatrix:
     classes vanish; blocks holds one (rows, M[rows][:, rows]) pair per
     class, rows ascending, classes in the order of their first taper. A
     dense matrix= is split into them, and reading matrix assembles it.
-    index_map, swap and structural_zero are derived when read.
+    index_map and structural_zero are derived when read.
     """
 
     indices: tuple
@@ -210,19 +209,6 @@ class CovBlockMatrix:
         """n x n mask of the entries between parity classes, which vanish."""
         label = _parity_labels(self.indices)
         return np.tile(label[:, None] != label, (len(self.scales),) * 2)
-
-    @property
-    def swap(self):
-        """Row permutation swapping the axes of each taper, or None.
-
-        Row (taper (a, b), scale j) goes to row ((b, a), j); the matrix is
-        invariant under it. None in d = 1, or when the tapers are not
-        closed under the swap.
-        """
-        sw = _taper_swap(self.indices)
-        if sw is None:
-            return None
-        return (np.arange(0, self.dim, len(self.indices))[:, None] + sw).ravel()
 
 
 def _dense(cov):

@@ -68,16 +68,12 @@ def sample_Z(cov, plan, count, seed):
     applied to the block's normals z_b, their squares added to the
     per-scale chi-square sums. Any square root of the covariance gives
     the same law of N; this one serves every covariance, positive definite
-    or not. psd_factor gets the covariance's axis swap (cov.swap), so in
-    d = 2 it decomposes one of the two swapped parity blocks and uses it
-    for both, and splits the self-mapped one into swap-even and swap-odd
-    halves; the root is the same up to round-off. An eigenvector basis
-    alone rotates with round-off in the matrix, and every draw with it;
-    the square root moves only as much as the matrix does while no
-    eigenvalue crosses the clipping level. A common factor c on the
-    covariance scales the root by sqrt(c) and every chi-square sum by c,
-    which the zero-sum weights cancel, so it moves the draws by round-off,
-    as does a one-ulp change of the exponent.
+    or not. An eigenvector basis alone rotates with round-off in the
+    matrix, and every draw with it; the square root moves only as much as
+    the matrix does while no eigenvalue crosses the clipping level. A
+    common factor c on the covariance scales the root by sqrt(c) and every
+    chi-square sum by c, which the zero-sum weights cancel, so it moves the
+    draws by round-off, as does a one-ulp change of the exponent.
     """
     if not 1 <= count <= MAX_CI_DRAWS:
         raise DomainError(f"need 1 to {MAX_CI_DRAWS:.0e} draws, got {count}")
@@ -87,7 +83,7 @@ def sample_Z(cov, plan, count, seed):
         raise DomainError("the plan's scales are not the covariance's")
     nI, nJ = len(cov.indices), len(plan)
     maps = []
-    for rows, factor, basis in psd_factor(cov.blocks, cov.swap).blocks:
+    for rows, factor, basis in psd_factor(cov.blocks).blocks:
         to_scale = np.zeros((len(rows), nJ))
         to_scale[np.arange(len(rows)), rows // nI] = 1.0
         maps.append((rows, factor, basis, to_scale))

@@ -181,12 +181,11 @@ class PsdFactor:
     """Eigen-truncated square root of a symmetric block matrix, block by block.
 
     blocks holds one (rows, factor, basis) triple per block given to
-    psd_factor, rows as given or, for a block that reuses the eigenpairs
-    of its swap image, the image's rows in swapped order. basis is a
-    len(rows) x r matrix V of the block's orthonormal eigenvectors whose
-    eigenvalues lie above the clipping level, and factor = V sqrt(lambda),
-    so M_clipped[rows][:, rows] = factor @ factor.T and factor @ basis.T
-    is its symmetric square root. M_clipped is zero outside the blocks.
+    psd_factor, rows as given. basis is a len(rows) x r matrix V of the
+    block's orthonormal eigenvectors whose eigenvalues lie above the
+    clipping level, and factor = V sqrt(lambda), so
+    M_clipped[rows][:, rows] = factor @ factor.T and factor @ basis.T is its
+    symmetric square root. M_clipped is zero outside the blocks.
     """
 
     dimension: int
@@ -196,63 +195,7 @@ class PsdFactor:
 _PSD_CLIP_REL = 1e-8
 
 
-def _swap_eigh(B, s):
-    """eigh of a block B that the involution s of its positions leaves fixed.
-
-    B[s][:, s] must equal B. B then splits into its swap-even part, in the
-    coordinates e_r for fixed r = s(r) and (e_r + e_s(r)) / sqrt(2) for
-    r < s(r), and its swap-odd part, in (e_r - e_s(r)) / sqrt(2). Each gets
-    one eigendecomposition; the eigenvectors are mapped back to B's own
-    positions, so (lam, vec) is an eigendecomposition of B, unsorted.
-    """
-    pos = np.arange(len(B))
-    fixed, x = np.flatnonzero(s == pos), np.flatnonzero(s > pos)
-    y = s[x]
-    P, Q = np.concatenate([fixed, x]), np.concatenate([fixed, y])
-    w = np.ones(len(P))
-    w[:len(fixed)] = sqrt(0.5)
-    lam_e, vec_e = np.linalg.eigh(
-        w[:, None] * (B[np.ix_(P, P)] + B[np.ix_(P, Q)]) * w)
-    lam_o, vec_o = np.linalg.eigh(B[np.ix_(x, x)] - B[np.ix_(x, y)])
-    ne = len(P)
-    vec = np.zeros((len(B), len(B)))
-    vec[fixed, :ne] = vec_e[:len(fixed)]
-    vec[x, :ne] = vec[y, :ne] = vec_e[len(fixed):] * sqrt(0.5)
-    vec[x, ne:] = vec_o * sqrt(0.5)
-    vec[y, ne:] = -vec[x, ne:]
-    return np.concatenate([lam_e, lam_o]), vec
-
-
-def _eigen_blocks(blocks, swap):
-    """(rows, lam, vec) per (rows, B) block.
-
-    A block whose swap image is an earlier block, equal to it entry for
-    entry in swapped row order, reuses that block's eigenpairs on the
-    swapped rows. A block the swap maps to itself, entry for entry, is
-    split by _swap_eigh. Every other block gets one eigh.
-    """
-    n = sum(len(rows) for rows, _ in blocks)
-    # each row's block, and its position within that block
-    owner, local = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
-    for k, (rows, _) in enumerate(blocks):
-        owner[rows], local[rows] = k, np.arange(len(rows))
-    parts = []
-    for k, (rows, B) in enumerate(blocks):
-        # c: the block holding the swap image of this one (k + 1: no swap)
-        img = None if swap is None else swap[rows]
-        c = k + 1 if img is None else owner[img[0]]
-        if (c <= k and np.all(owner[img] == c) and len(rows) == len(blocks[c][0])
-                and np.array_equal(blocks[c][1][np.ix_(local[img], local[img])], B)):
-            if c < k:
-                parts.append((swap[parts[c][0]], *parts[c][1:]))
-            else:
-                parts.append((rows, *_swap_eigh(B, local[img])))
-        else:
-            parts.append((rows, *np.linalg.eigh(B)))
-    return parts
-
-
-def psd_factor(blocks, swap=None):
+def psd_factor(blocks):
     """Eigen-truncated symmetric square root of a block matrix M.
 
     blocks are (rows, B) pairs: B is M[rows][:, rows], and M is zero
@@ -263,14 +206,6 @@ def psd_factor(blocks, swap=None):
     largest eigenvalue of M raise NotPsd; the eigenpairs above +1e-8 times
     it are kept and the rest are treated as zero, so each block's root
     changes with M as smoothly as its retained eigenspace does.
-
-    swap, optional, is an involutive row permutation under which M may be
-    invariant (a d = 2 covariance under the axis swap). It only saves
-    work: a block that is the swap image of an earlier block, entry for
-    entry, reuses that block's eigenpairs on the swapped rows, and a block
-    the swap maps to itself is decomposed in its swap-even and swap-odd
-    halves, two smaller eigendecompositions. Blocks that fail the exact
-    check are decomposed as without swap.
     """
     blocks = [(np.asarray(rows), np.asarray(B, dtype=np.float64))
               for rows, B in blocks]
@@ -281,15 +216,10 @@ def psd_factor(blocks, swap=None):
     for rows, B in blocks:
         if B.shape != (len(rows), len(rows)) or not np.array_equal(B, B.T):
             raise DomainError("psd_factor requires square, exactly symmetric blocks")
-    if swap is not None:
-        swap, rows = np.asarray(swap), np.arange(n)
-        if not (np.array_equal(np.sort(swap), rows)
-                and np.array_equal(swap[swap], rows)):
-            raise DomainError("swap must be an involutive permutation of the rows")
     # numpy's eigh is LAPACK dsyevd, as scipy's driver="evd"; scipy's runs
     # on scipy's own BLAS threads, which keep spinning after the call and
     # halved the speed of the sampling products that follow
-    parts = _eigen_blocks(blocks, swap)
+    parts = [(rows, *np.linalg.eigh(B)) for rows, B in blocks]
     top = max((lam.max() for _, lam, _ in parts), default=0.0)
     low = min((lam.min() for _, lam, _ in parts), default=0.0)
     floor = _PSD_CLIP_REL * top

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .numerics import _HERMITE_MAX_ORDER
 
 _MACHINE_EPS = float(np.finfo(np.float64).eps)
 
@@ -122,6 +123,12 @@ def build_taper_set(d, i_max, c=DEFAULT_SPATIAL_SCALE):
     if i_max < 2:
         raise DomainError("i_max must be >= 2: below that every index "
                           "would be all-even")
+    # refused before np.indices and the support tables allocate i_max^d and
+    # i_max times the grid length
+    if i_max > _HERMITE_MAX_ORDER + 1:
+        raise DomainError(f"i_max (--imax) must be at most {_HERMITE_MAX_ORDER + 1}: "
+                          f"Hermite coefficients stop at order {_HERMITE_MAX_ORDER}, "
+                          f"got {i_max}")
     if not 0 < c < np.inf:
         raise DomainError("spatial scale c (--taper-scale) must be positive "
                           f"and finite, got {c!r}")

@@ -1,4 +1,5 @@
 import json
+import logging
 import subprocess
 import sys
 import time
@@ -271,6 +272,21 @@ class TestExitCodes:
             assert main(command + ["--imax", "1"]) == 4
             assert "all-even" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("i_max", ["66", "100000"])
+    def test_imax_above_hermite_orders_is_a_domain_error(
+            self, i_max, pattern_csv, tmp_path, capsys):
+        # 100000 in 2-D asked np.indices for 149 GiB and exited 1 with a
+        # traceback
+        path, _ = pattern_csv
+        for command in (
+                ["estimate", "--input", path, "--half-width", "12"],
+                ["curve", "--input", path, "--half-width", "12",
+                 "--output", str(tmp_path / "curve.csv")],
+                ["coverage", "--alpha", "0.5", "--half-width", "10",
+                 "--replicates", "2", "--ci-draws", "64"]):
+            assert main(command + ["--imax", i_max]) == 4
+            assert "--imax" in capsys.readouterr().err
+
     def test_warnings_follow_the_callers_filters(self, pattern_csv,
                                                  monkeypatch):
         # main installs no warning filter of its own, so a warning inside a
@@ -319,12 +335,12 @@ class TestEstimate:
 
     def test_fallback_ci_rerun_byte_identical(self, pattern_csv, tmp_path,
                                               monkeypatch):
-        # the interval comes from psd_factor's root, given the axis swap
-        swaps = []
+        # the interval comes from psd_factor's root
+        calls = []
 
-        def recorded(blocks, swap=None):
-            swaps.append(swap)
-            return psd_factor(blocks, swap)
+        def recorded(blocks):
+            calls.append(len(blocks))
+            return psd_factor(blocks)
 
         monkeypatch.setattr(inference, "psd_factor", recorded)
         path, _ = pattern_csv
@@ -335,7 +351,7 @@ class TestEstimate:
         first = out.read_bytes()
         assert main(argv) == 0
         assert out.read_bytes() == first
-        assert len(swaps) == 2 and all(s is not None for s in swaps)
+        assert len(calls) == 2
         ci = json.loads(first)["ci"]
         assert ci["lo"] < ci["hi"]
 
@@ -353,12 +369,14 @@ class TestEstimate:
         b = json.loads(capsys.readouterr().out)["alpha_hat"]
         assert abs(a - b) < 1e-8
 
-    def test_half_width_inferred(self, pattern_csv, capsys):
-        path, _ = pattern_csv
-        rc = main(["estimate", "--input", path])
+    def test_half_width_inferred(self, pattern_csv, caplog):
+        path, p = pattern_csv
+        with caplog.at_level(logging.WARNING, logger="hyperalpha"):
+            rc = main(["estimate", "--input", path])
         assert rc == 0
-        err = capsys.readouterr().err
-        assert "half-width not given" in err
+        assert [r.getMessage() for r in caplog.records] == [
+            "window half-width not given; using max |coordinate| = "
+            f"{float(np.max(np.abs(p.points)))!r}"]
 
     def test_ci_requested(self, pattern_csv, capsys):
         path, _ = pattern_csv
@@ -402,16 +420,17 @@ class TestEstimate:
         assert out["alpha_hat"] == pytest.approx(
             np.mean([f["alpha_hat"] for f in out["frames"]]))
 
-    def test_pooled_frames_skip_ci(self, tmp_path, capsys):
+    def test_pooled_frames_skip_ci(self, tmp_path, capsys, caplog):
         for k in (0, 1):
             p = poisson(1.0, 10.0, seed=50 + k)
             write_csv(tmp_path / f"frame{k}.csv", p.points)
-        rc = main(["estimate", "--input", str(tmp_path / "frame*.csv"),
-                   "--half-width", "10", "--ci-level", "0.95"])
+        with caplog.at_level(logging.WARNING, logger="hyperalpha"):
+            rc = main(["estimate", "--input", str(tmp_path / "frame*.csv"),
+                       "--half-width", "10", "--ci-level", "0.95"])
         assert rc == 0
-        captured = capsys.readouterr()
-        assert "skipping CI for pooled frames" in captured.err
-        assert json.loads(captured.out)["ci"] is None
+        assert [r.getMessage() for r in caplog.records] == [
+            "intervals are per-pattern; skipping CI for pooled frames"]
+        assert json.loads(capsys.readouterr().out)["ci"] is None
 
     def test_poisson_reference(self, pattern_csv, capsys):
         path, _ = pattern_csv

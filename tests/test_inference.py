@@ -70,17 +70,13 @@ def dense_Z(cov, plan, count, seed, root):
     return np.concatenate(out)[:count]
 
 
-def dense_root(blocks, swap=None):
+def dense_root(blocks):
     """The symmetric square root of the clipped matrix, from psd_factor's blocks."""
-    f = psd_factor(blocks, swap)
+    f = psd_factor(blocks)
     root = np.zeros((f.dimension, f.dimension))
     for rows, factor, basis in f.blocks:
         root[np.ix_(rows, rows)] = factor @ basis.T
     return root
-
-
-def ranks(blocks, swap=None):
-    return [factor.shape[1] for _, factor, _ in psd_factor(blocks, swap).blocks]
 
 
 @pytest.fixture(scope="module")
@@ -101,18 +97,18 @@ class TestSampleZ:
         # one block at a time and chunked against one dense map of the same
         # normals through the densified square root
         _, plan, cov = request.getfixturevalue(case)
-        ref = dense_Z(cov, plan, 5000, 17, dense_root(cov.blocks, cov.swap))
+        ref = dense_Z(cov, plan, 5000, 17, dense_root(cov.blocks))
         got = sample_Z(cov, plan, 5000, seed=17).values
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.abs(ref).max()
 
     def test_psd_factor_called_once_with_swap(self, small_cov, fallback_cov,
                                               asymptotic_cov, monkeypatch):
         # one factor path for every covariance, positive definite or not
-        swaps, covs = [], []
+        calls, covs = [], []
 
-        def counted(blocks, swap=None):
-            swaps.append(swap)
-            return psd_factor(blocks, swap)
+        def counted(blocks):
+            calls.append(blocks)
+            return psd_factor(blocks)
 
         def captured(*args):
             covs.append(sigma_transient(*args))
@@ -121,16 +117,16 @@ class TestSampleZ:
         monkeypatch.setattr(inference, "psd_factor", counted)
         monkeypatch.setattr(inference, "sigma_transient", captured)
         for _, plan, cov in (small_cov, fallback_cov, asymptotic_cov):
-            del swaps[:]
+            del calls[:]
             sample_Z(cov, plan, 300, seed=0)
-            assert len(swaps) == 1 and np.array_equal(swaps[0], cov.swap)
+            assert len(calls) == 1 and calls[0] is cov.blocks
         # the benchmark's interval smoke call: cloaked R 12, i_max 4,
         # 8 scales, full preset; its covariance is positive definite
-        del swaps[:]
+        del calls[:]
         run_pipeline(cloaked_lattice(1.0, 0.25, 12.0, 1), i_max=4, n_scales=8,
                      ci_level=0.95, ci_draws=256, ci_full=True)
         assert len(covs) == 1 and not fails_cholesky(covs[0].matrix)
-        assert len(swaps) == 1 and np.array_equal(swaps[0], covs[0].swap)
+        assert len(calls) == 1 and calls[0] is covs[0].blocks
 
     def test_positive_definite_shift_moves_quantiles_by_round_off(
             self, fallback_cov):
@@ -273,44 +269,16 @@ class TestSampleZ:
 
 class TestAxisSwapFactor:
     # fallback_cov's blocks are (even,odd), (odd,even) and (odd,odd) tapers,
-    # 100 rows each; the axis swap maps the first two onto each other and
-    # the third, whose 50 rows of tapers (1, 1) and (3, 3) it fixes, onto
-    # itself
-
-    def test_root_matches_plain_root(self, fallback_cov):
-        _, _, cov = fallback_cov
-        plain = dense_root(cov.blocks)
-        root = dense_root(cov.blocks, cov.swap)
-        assert np.max(np.abs(root - plain)) <= 1e-10 * np.abs(plain).max()
-        assert ranks(cov.blocks, cov.swap) == ranks(cov.blocks)
+    # 100 rows each; the axis swap maps the first two onto each other, but
+    # each block gets its own eigendecomposition
 
     def test_swapped_blocks_factored_once(self, fallback_cov, eigh_sizes):
         _, plan, cov = fallback_cov
-        psd_factor(cov.blocks, cov.swap)
-        assert eigh_sizes == [100, 75, 25]
-        # sample_Z hands the covariance's swap on
+        psd_factor(cov.blocks)
+        assert eigh_sizes == [100, 100, 100]
         del eigh_sizes[:]
         sample_Z(cov, plan, 10, seed=0)
-        assert eigh_sizes == [100, 75, 25]
-
-    def test_matrix_off_swap_invariance_factored_plainly(self, fallback_cov,
-                                                         eigh_sizes):
-        # a relative perturbation of 1e-15 per entry breaks the exact
-        # invariance in every block: each gets its own full eigh, and the
-        # factor is the one computed without the swap
-        _, _, cov = fallback_cov
-        e = np.random.default_rng(0).standard_normal(cov.matrix.shape)
-        moved = dataclasses.replace(
-            cov, matrix=cov.matrix * (1.0 + 1e-15 * (e + e.T) / 2.0)).blocks
-        got = psd_factor(moved, cov.swap)
         assert eigh_sizes == [100, 100, 100]
-        want = psd_factor(moved)
-        for a, b in zip(got.blocks, want.blocks, strict=True):
-            for x, y in zip(a, b):
-                np.testing.assert_array_equal(x, y)
-        root = dense_root(cov.blocks, cov.swap)
-        assert (np.max(np.abs(dense_root(moved, cov.swap) - root))
-                <= 1e-9 * np.abs(root).max())
 
 
 class TestQuantile:

@@ -306,41 +306,6 @@ class TestPsdFactor:
                 factor, _ = dense(psd_factor(blocks))
                 assert np.abs(factor @ factor.T - assembled(blocks)).max() <= 1e-7
 
-    @pytest.mark.parametrize("neg, raises", [(-1e-6, True), (-1e-9, False)])
-    def test_clipping_in_swap_odd_half(self, neg, raises, eigh_sizes):
-        # one dense block that the row swap 0<->1, 3<->4, 5<->6 (row 2
-        # fixed) maps to itself: eigenvalues 1, 0.5, 0.3, 0.1 in its
-        # swap-even half and 0.2, 0, neg in its swap-odd half, which gets
-        # its own eigendecomposition
-        swap = np.array([1, 0, 2, 4, 3, 6, 5])
-        h = math.sqrt(0.5)
-        even = np.array([[0, h, 0, 0], [0, h, 0, 0], [1, 0, 0, 0],
-                         [0, 0, h, 0], [0, 0, h, 0], [0, 0, 0, h], [0, 0, 0, h]])
-        odd = np.array([[h, 0, 0], [-h, 0, 0], [0, 0, 0], [0, h, 0],
-                        [0, -h, 0], [0, 0, h], [0, 0, -h]])
-        rng = np.random.default_rng(4)
-        qe, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-        qo, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        m = (even @ qe @ np.diag([1.0, 0.5, 0.3, 0.1]) @ qe.T @ even.T
-             + odd @ qo @ np.diag([0.2, 0.0, neg]) @ qo.T @ odd.T)
-        m = 0.5 * (m + m.T)
-        m = 0.5 * (m + m[np.ix_(swap, swap)])
-        assert np.all(m != 0.0)
-        if raises:
-            with pytest.raises(NotPsd):
-                psd_factor(one_block(m), swap)
-        else:
-            factor, basis = dense(psd_factor(one_block(m), swap))
-            assert np.abs(factor @ factor.T - m).max() <= 1e-7
-            np.testing.assert_allclose(basis.T @ basis, np.eye(5), atol=1e-12)
-        assert eigh_sizes == [4, 3]
-
-    def test_swap_must_be_an_involution(self):
-        blocks = one_block(np.eye(3))
-        for swap in ([1, 2, 0], [0, 1], [0, 0, 2]):
-            with pytest.raises(DomainError):
-                psd_factor(blocks, np.array(swap))
-
     def test_asymmetric_input_rejected(self):
         # the blocks are used as given: a round-off asymmetry is refused
         # as firmly as a gross one

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,22 @@ class TestIndexSet:
         # {0}^d holds only the all-even index, so the set would be empty
         with pytest.raises(DomainError, match="all-even"):
             build_taper_set(d, 1)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_imax_above_hermite_orders_is_refused(self, d):
+        # 65 is the last i_max with Hermite coefficients; above it the set is
+        # refused before anything is allocated (i_max 100000 in 2-D asked
+        # np.indices for 149 GiB)
+        assert len(build_taper_set(d, 65).indices) == (65**d - 33**d)
+        tracemalloc.start()
+        try:
+            for i_max in (66, 100_000):
+                with pytest.raises(DomainError, match="--imax"):
+                    build_taper_set(d, i_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestHermiteValues:
