@@ -22,7 +22,7 @@ from . import __version__
 from .errors import (DomainError, EmptyInput, EmptyPattern, HyperalphaError,
                      WindowTooSmall)
 from .estimator import (DEFAULT_N_SCALES, DIAGNOSTIC_GRID, calibrate_jmax,
-                        calibrate_jmax_poisson, default_scale_plan,
+                        calibrate_jmax_poisson, check_n_scales, default_scale_plan,
                         estimate_alpha, poisson_curves, pooled_estimate,
                         select_jmin)
 from .geometry import PointPattern, Window, normalize_intensity
@@ -119,33 +119,33 @@ def _normalize(pattern):
     return normalized, record
 
 
-# Reduced preset for interval construction: the covariance is assembled and
-# sampled at i_max = 4 (12 tapers) over 25 scales, and the point estimate is
-# taken on the same preset so the interval is centered on it. Full size is
-# opt-in; dropping the reduced preset would move every reduced-preset
-# estimate, coverage's included.
+# The reduced preset for intervals: the estimate and the covariance at
+# i_max 4 (12 tapers) over at most 25 scales, so the interval is centered on
+# its own estimate. Full size is opt-in; dropping the reduced preset would
+# move every reduced-preset estimate, coverage's included.
 REDUCED_CI_IMAX = 4
 REDUCED_CI_NSCALES = 25
 
 
-def _calibrate(normalized, i_max, taper_scale, j_min, j_max, n_scales, reduced):
-    """Estimation taper set, plan, curve, j_min and j_max of a normalized pattern.
-
-    j_max and j_min are calibrated unless given; the reduced preset caps the
-    estimation set and the number of scales, never the curve's taper set.
-    """
-    d = normalized.dim
+def _preset(d, i_max, taper_scale, n_scales, reduced):
+    """The curve's taper set, the estimate's and the scale count, checked and
+    built before any pattern work; the reduced preset caps the latter two."""
+    check_n_scales(n_scales)
     full_set = build_taper_set(d, i_max, c=taper_scale)
+    if not reduced:
+        return full_set, full_set, n_scales
+    est_set = full_set if i_max <= REDUCED_CI_IMAX else \
+        build_taper_set(d, REDUCED_CI_IMAX, c=taper_scale)
+    return full_set, est_set, min(n_scales, REDUCED_CI_NSCALES)
+
+
+def _calibrate(normalized, full_set, j_min, j_max, n_scales):
+    """Plan, curve, j_min and j_max; j_max and j_min are calibrated unless given."""
     j_max = calibrate_jmax(full_set, normalized.half_width) \
         if j_max is None else float(j_max)
     curve = curve_C(normalized, full_set, DIAGNOSTIC_GRID)
     j_min = select_jmin(curve, j_max) if j_min is None else float(j_min)
-    est_set = full_set
-    if reduced:
-        est_set = build_taper_set(d, min(i_max, REDUCED_CI_IMAX), c=taper_scale)
-        n_scales = min(n_scales, REDUCED_CI_NSCALES)
-    plan = default_scale_plan(j_min, j_max, n_scales)
-    return est_set, plan, curve, j_min, j_max
+    return default_scale_plan(j_min, j_max, n_scales), curve, j_min, j_max
 
 
 def run_pipeline(pattern, i_max=DEFAULT_IMAX, taper_scale=DEFAULT_SPATIAL_SCALE,
@@ -156,14 +156,16 @@ def run_pipeline(pattern, i_max=DEFAULT_IMAX, taper_scale=DEFAULT_SPATIAL_SCALE,
     When an interval is requested the reduced preset drives both the point
     estimate and the interval (so the interval is centered correctly);
     ci_full opts into the full preset, where a 2-D interval takes no draws
-    at the default i_max. Level and draw count are checked before any work.
+    at the default i_max. Level, draws, scale count and taper sets are checked first.
     """
     if ci_level is not None:
         check_ci_request(ci_level, ci_draws)
-    normalized, record = _normalize(pattern)
     reduced = ci_level is not None and not ci_full
-    est_set, plan, curve, j_min, j_max = _calibrate(
-        normalized, i_max, taper_scale, j_min, j_max, n_scales, reduced)
+    full_set, est_set, n_scales = _preset(pattern.dim, i_max, taper_scale,
+                                          n_scales, reduced)
+    normalized, record = _normalize(pattern)
+    plan, curve, j_min, j_max = _calibrate(normalized, full_set, j_min, j_max,
+                                           n_scales)
     report = estimate_alpha(normalized, est_set, plan)
     report.curve = curve
     report.diagnostics["j_min"] = j_min
@@ -319,15 +321,14 @@ def _cmd_coverage(args):
     def simulate_one(rep):
         return cloaked_lattice(true_alpha, args.sigma, R, args.seed + rep)
 
+    full_set, est_set, n_scales = _preset(2, args.imax, DEFAULT_SPATIAL_SCALE,
+                                          args.nscales, reduced=True)
     pilot, _ = _normalize(simulate_one(0))
-    est_set, plan, _, j_min, j_max = _calibrate(
-        pilot, args.imax, DEFAULT_SPATIAL_SCALE, j_min=None, j_max=None,
-        n_scales=args.nscales, reduced=True)
+    plan, _, j_min, j_max = _calibrate(pilot, full_set, None, None, n_scales)
     # quantiles of the pivot at the true exponent, shared by all replicates,
     # at the pilot's normalized R, the window each pivot is measured in
-    q_lo, q_hi = pivot_quantiles(est_set, plan, max(true_alpha, 0.0),
-                                 pilot.half_width, level,
-                                 draws=args.ci_draws, seed=args.seed)
+    q_lo, q_hi = pivot_quantiles(est_set, plan, true_alpha, pilot.half_width,
+                                 level, draws=args.ci_draws, seed=args.seed)
     covered = 0
     alphas = []
     for rep in range(args.replicates):

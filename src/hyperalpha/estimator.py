@@ -69,8 +69,15 @@ def least_squares_weights(J):
     return ScalePlan(scales=J, weights=w)
 
 
+def check_n_scales(n_scales):
+    """Refuse fewer than two scales: the slope needs two."""
+    if n_scales < 2:
+        raise DomainError(f"n_scales (--nscales) must be at least 2, got {n_scales}")
+
+
 def default_scale_plan(j_min, j_max, n_scales=DEFAULT_N_SCALES):
     """Uniform scales on [j_min, j_max], endpoints included."""
+    check_n_scales(n_scales)
     if not 0 < j_min < j_max:
         raise DomainError("need 0 < j_min < j_max")
     return least_squares_weights(np.linspace(j_min, j_max, n_scales))

@@ -165,43 +165,34 @@ def cumulant_quantiles(cov, plan, level):
             float(np.min(2.0 / np.diag(V))), float(skew))
 
 
-def _sampled_quantiles(cov, plan, level, draws, seed):
+def pivot_quantiles(set_, plan, beta, R, level, draws=DEFAULT_CI_DRAWS, seed=0):
+    """(lower, upper) pivot quantiles at `level`, with the covariance at beta
+    and R: cumulant_quantiles' if min nu_j >= _CF_MIN_DOF, else those of
+    sample_Z's `draws` draws at `seed`."""
+    check_ci_request(level, draws)
+    cov = sigma_transient(set_, plan.scales, beta, R)
+    q_lo, q_hi, nu_min, _ = cumulant_quantiles(cov, plan, level)
+    if nu_min >= _CF_MIN_DOF:
+        return q_lo, q_hi
     zs = sample_Z(cov, plan, draws, seed)
     a = 1.0 - level
     return quantile(zs, a / 2.0), quantile(zs, 1.0 - a / 2.0)
 
 
-def pivot_quantiles(set_, plan, beta, R, level, draws=DEFAULT_CI_DRAWS, seed=0):
-    """(lower, upper) Monte Carlo pivot quantiles at the given confidence level."""
-    check_ci_request(level, draws)
-    return _sampled_quantiles(sigma_transient(set_, plan.scales, beta, R),
-                              plan, level, draws, seed)
-
-
-def confidence_interval(report, set_, level=0.95, draws=DEFAULT_CI_DRAWS,
-                        seed=0, beta=None):
-    """Asymptotic interval for the exponent around a point estimate.
-
-    The covariance is evaluated at beta = max(alpha_hat, 0) unless a value
-    is supplied (simulation studies with known truth pass it directly).
-    The report must carry its scale plan. The pivot quantiles are
-    cumulant_quantiles' if min nu_j >= _CF_MIN_DOF, else from `draws` draws
-    at `seed`. A clipped alpha_hat < 0, or one >= d, logs a warning.
-    """
+def confidence_interval(report, set_, level=0.95, draws=DEFAULT_CI_DRAWS, seed=0):
+    """Asymptotic interval around a point estimate: alpha_hat minus the
+    pivot_quantiles at beta = max(alpha_hat, 0) over log R. The report must
+    carry its scale plan; a clipped alpha_hat < 0, or one >= d, logs a warning."""
     plan = report.plan
     if plan is None:
         raise DomainError("no scale plan available for interval construction")
-    check_ci_request(level, draws)
     alpha = report.alpha_hat
-    if (beta is None and alpha < 0) or alpha >= set_.dim:
+    q_lo, q_hi = pivot_quantiles(set_, plan, max(alpha, 0.0), report.R, level,
+                                 draws, seed)
+    if not 0 <= alpha < set_.dim:
         logging.getLogger("hyperalpha").warning(
             "the interval assumes 0 <= alpha < d = %d, but alpha_hat = %.4g%s",
             set_.dim, alpha, " (clipped to beta = 0)" if alpha < 0 else "")
-    cov = sigma_transient(set_, plan.scales, max(alpha, 0.0) if beta is None
-                          else beta, report.R)
-    q_lo, q_hi, nu_min, _ = cumulant_quantiles(cov, plan, level)
-    if nu_min < _CF_MIN_DOF:
-        q_lo, q_hi = _sampled_quantiles(cov, plan, level, draws, seed)
     log_R = np.log(report.R)
     return ConfidenceInterval(lo=alpha - q_hi / log_R, hi=alpha - q_lo / log_R,
                               level=level, alpha_hat=alpha)

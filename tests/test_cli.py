@@ -287,6 +287,25 @@ class TestExitCodes:
             assert main(command + ["--imax", i_max]) == 4
             assert "--imax" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_scales", ["-1", "0", "1"])
+    def test_too_few_scales_refused_before_work(self, n_scales, pattern_csv,
+                                                monkeypatch, capsys):
+        # -1 exited 1 with np.linspace's ValueError traceback; 0 and 1
+        # exited 4 only after the curve or the coverage pilot had run
+        import hyperalpha.cli as cli
+        monkeypatch.setattr(cli, "curve_C", lambda *a: pytest.fail("ran"))
+        monkeypatch.setattr(cli, "cloaked_lattice", lambda *a: pytest.fail("ran"))
+        path, _ = pattern_csv
+        for command in (
+                ["estimate", "--input", path, "--half-width", "12"],
+                ["estimate", "--input", path, "--half-width", "12",
+                 "--ci-level", "0.95"],
+                ["coverage", "--alpha", "0.5", "--half-width", "10",
+                 "--replicates", "2", "--ci-draws", "64"]):
+            assert main(command + ["--nscales", n_scales]) == 4
+            assert (f"(--nscales) must be at least 2, got {n_scales}"
+                    in capsys.readouterr().err)
+
     def test_warnings_follow_the_callers_filters(self, pattern_csv,
                                                  monkeypatch):
         # main installs no warning filter of its own, so a warning inside a
@@ -604,6 +623,17 @@ class TestCoverageCommand:
         assert rc == 4
         assert "error:" in capsys.readouterr().err
         assert calls == []
+
+    @pytest.mark.parametrize("i_max", ["1", "66"])
+    def test_bad_imax_refused_before_simulating(self, i_max, monkeypatch,
+                                                capsys):
+        # the taper sets are built before the pilot replicate is drawn
+        import hyperalpha.cli as cli
+        monkeypatch.setattr(cli, "cloaked_lattice", lambda *a: pytest.fail("ran"))
+        rc = main(["coverage", "--alpha", "0.5", "--half-width", "300",
+                   "--replicates", "2", "--ci-draws", "64", "--imax", i_max])
+        assert rc == 4
+        assert "i_max" in capsys.readouterr().err
 
     def test_calibration_matches_run_pipeline(self, capsys):
         # coverage calibrates j_min and j_max on its pilot replicate (seed

@@ -331,6 +331,31 @@ class TestPivotQuantiles:
         with pytest.raises(DomainError):
             pivot_quantiles(set4, plan, 0.7, 25.0, 1.0, draws=100)
 
+    def test_full_preset_takes_the_cumulant_ends(self, set10, monkeypatch):
+        # i_max 10 over 8 scales (min nu_j 66.2): the Cornish-Fisher ends
+        # themselves, with no factor and no draws
+        plan = default_scale_plan(0.6, 0.97, 8)
+        cov = sigma_transient(set10, plan.scales, 1.0, 40.0)
+        lo, hi, nu_min, _ = cumulant_quantiles(cov, plan, 0.95)
+        assert nu_min >= inference._CF_MIN_DOF
+        calls = []
+        monkeypatch.setattr(inference, "psd_factor",
+                            lambda *a: calls.append("psd_factor"))
+        monkeypatch.setattr(inference, "sample_Z",
+                            lambda *a: calls.append("sample_Z"))
+        got = pivot_quantiles(set10, plan, 1.0, 40.0, 0.95, draws=256, seed=3)
+        assert got == (lo, hi) and calls == []
+
+    def test_few_degrees_of_freedom_take_the_sampled_ends(self, small_cov):
+        # i_max 4 (nu about 11): the empirical quantiles of sample_Z's
+        # draws at the given seed, bit for bit
+        set4, plan, cov = small_cov
+        zs = sample_Z(cov, plan, 4000, seed=11)
+        a = 1.0 - 0.95
+        want = quantile(zs, a / 2.0), quantile(zs, 1.0 - a / 2.0)
+        assert pivot_quantiles(set4, plan, 0.7, 25.0, 0.95, draws=4000,
+                               seed=11) == want
+
 
 def report_stub(alpha_hat, plan, R=25.0):
     return EstimateReport(alpha_hat=alpha_hat, R=R, plan=plan, curve=None,
@@ -341,7 +366,7 @@ class TestConfidenceInterval:
     def test_orientation_and_center(self, small_cov):
         set4, plan, _ = small_cov
         rpt = report_stub(0.6, plan)
-        ci = confidence_interval(rpt, set4, draws=4000, seed=13, beta=0.6)
+        ci = confidence_interval(rpt, set4, draws=4000, seed=13)
         assert ci.lo < ci.hi
         assert ci.lo < 0.6 < ci.hi
         # interval endpoints are the point estimate shifted by the pivot
@@ -361,8 +386,10 @@ class TestConfidenceInterval:
         rpt = report_stub(-0.3, plan)
         # negative point estimates clamp the covariance exponent at zero
         ci = confidence_interval(rpt, set4, draws=2000, seed=1)
-        ci0 = confidence_interval(rpt, set4, draws=2000, seed=1, beta=0.0)
-        assert (ci.lo, ci.hi) == (ci0.lo, ci0.hi)
+        q_lo, q_hi = pivot_quantiles(set4, plan, 0.0, 25.0, 0.95, draws=2000,
+                                     seed=1)
+        log_R = math.log(25.0)
+        assert (ci.lo, ci.hi) == (-0.3 - q_hi / log_R, -0.3 - q_lo / log_R)
 
     def test_missing_plan_raises(self):
         set4 = build_taper_set(2, 4)
@@ -371,21 +398,22 @@ class TestConfidenceInterval:
         with pytest.raises(DomainError):
             confidence_interval(rpt, set4, draws=100)
 
-    @pytest.mark.parametrize("alpha_hat, beta, named", [
-        (-0.3, None, "clipped to beta = 0"),
-        (2.0, None, "alpha < d = 2"),
-        (2.4, 1.0, "alpha < d = 2"),
-        (0.6, None, None),
-        (-0.3, 0.0, None),
-    ])
+    # the ids keep the "None" of a former beta column, where None meant
+    # beta = max(alpha_hat, 0), the only beta the interval now takes
+    @pytest.mark.parametrize("alpha_hat, named", [
+        (-0.3, "clipped to beta = 0"),
+        (2.0, "alpha < d = 2"),
+        (0.6, None),
+    ], ids=["-0.3-None-clipped to beta = 0", "2.0-None-alpha < d = 2",
+            "0.6-None-None"])
     def test_warns_where_the_theory_does_not_apply(self, small_cov, caplog,
-                                                   capsys, alpha_hat, beta, named):
+                                                   capsys, alpha_hat, named):
         # the interval needs 0 <= alpha < d: a clipped negative estimate
         # or one at or above d logs one warning, and nothing goes to stdout
         set4, plan, _ = small_cov
         with caplog.at_level(logging.WARNING, logger="hyperalpha"):
             confidence_interval(report_stub(alpha_hat, plan), set4, draws=200,
-                                seed=1, beta=beta)
+                                seed=1)
         messages = [r.getMessage() for r in caplog.records if r.name == "hyperalpha"]
         assert len(messages) == (named is not None)
         assert named is None or named in messages[0]
