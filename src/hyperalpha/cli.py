@@ -26,7 +26,7 @@ from .estimator import (DEFAULT_N_SCALES, DIAGNOSTIC_GRID, calibrate_jmax,
                         estimate_alpha, poisson_curves, pooled_estimate,
                         select_jmin)
 from .geometry import PointPattern, Window, normalize_intensity
-from .inference import (DEFAULT_CI_DRAWS, check_ci_request,
+from .inference import (DEFAULT_CI_DRAWS, MAX_CI_DRAWS, check_ci_request,
                         confidence_interval, pivot_quantiles)
 from .simulate import cloaked_lattice, matched_process, poisson, rsa
 from .tapers import DEFAULT_SPATIAL_SCALE, build_taper_set
@@ -127,22 +127,48 @@ REDUCED_CI_IMAX = 4
 REDUCED_CI_NSCALES = 25
 
 
-def _preset(d, i_max, taper_scale, n_scales, reduced):
+def _preset(d, i_max, taper_scale, n_scales, ci, reduced):
     """The curve's taper set, the estimate's and the scale count, checked and
-    built before any pattern work; the reduced preset caps the latter two."""
+    built before any pattern work; the reduced preset caps the latter two.
+    Like the sampler's draws and the simulators' points, the largest array is
+    capped at MAX_CI_DRAWS floats: the |J| x |I| transform table, or with an
+    interval the covariance's parity blocks, (n_c |J|)^2 floats per class c."""
     check_n_scales(n_scales)
     full_set = build_taper_set(d, i_max, c=taper_scale)
-    if not reduced:
-        return full_set, full_set, n_scales
-    est_set = full_set if i_max <= REDUCED_CI_IMAX else \
-        build_taper_set(d, REDUCED_CI_IMAX, c=taper_scale)
-    return full_set, est_set, min(n_scales, REDUCED_CI_NSCALES)
+    est_set = full_set
+    if reduced:
+        if i_max > REDUCED_CI_IMAX:
+            est_set = build_taper_set(d, REDUCED_CI_IMAX, c=taper_scale)
+        n_scales = min(n_scales, REDUCED_CI_NSCALES)
+    if ci:
+        n_c = np.unique(np.asarray(est_set.indices) % 2, axis=0, return_counts=True)[1]
+        floats, what = sum(int(n) ** 2 for n in n_c) * n_scales**2, "covariance"
+    else:
+        floats, what = n_scales * len(est_set.indices), "transform table"
+    if floats > MAX_CI_DRAWS:
+        raise DomainError(f"--nscales {n_scales} at --imax {i_max} needs a {what} "
+                          f"of {floats} floats, more than the {MAX_CI_DRAWS:.0e} allowed")
+    return full_set, est_set, n_scales
+
+
+def _check_scale_range(j_min, j_max):
+    """Refuse a given j_min or j_max outside (0, 1.3], or the two out of order."""
+    for name, j in (("j_min (--jmin)", j_min), ("j_max (--jmax)", j_max)):
+        if j is not None and not 0 < j <= 1.3:
+            raise DomainError(f"{name} must lie in (0, 1.3], got {j!r}")
+    if j_min is not None and j_max is not None and not j_min < j_max:
+        raise DomainError(f"j_min (--jmin) {j_min!r} must be below "
+                          f"j_max (--jmax) {j_max!r}")
 
 
 def _calibrate(normalized, full_set, j_min, j_max, n_scales):
     """Plan, curve, j_min and j_max; j_max and j_min are calibrated unless given."""
-    j_max = calibrate_jmax(full_set, normalized.half_width) \
-        if j_max is None else float(j_max)
+    if j_max is None:
+        j_max = calibrate_jmax(full_set, normalized.half_width)
+        if j_min is not None and not j_min < j_max:
+            raise DomainError(f"j_min (--jmin) {j_min!r} must be below the "
+                              f"calibrated j_max {j_max!r}")
+    j_max = float(j_max)
     curve = curve_C(normalized, full_set, DIAGNOSTIC_GRID)
     j_min = select_jmin(curve, j_max) if j_min is None else float(j_min)
     return default_scale_plan(j_min, j_max, n_scales), curve, j_min, j_max
@@ -156,13 +182,16 @@ def run_pipeline(pattern, i_max=DEFAULT_IMAX, taper_scale=DEFAULT_SPATIAL_SCALE,
     When an interval is requested the reduced preset drives both the point
     estimate and the interval (so the interval is centered correctly);
     ci_full opts into the full preset, where a 2-D interval takes no draws
-    at the default i_max. Level, draws, scale count and taper sets are checked first.
+    at the default i_max. Level, draws, given scales, scale count and taper
+    sets are checked first; a given j_min against a calibrated j_max before
+    the curve.
     """
     if ci_level is not None:
         check_ci_request(ci_level, ci_draws)
+    _check_scale_range(j_min, j_max)
     reduced = ci_level is not None and not ci_full
     full_set, est_set, n_scales = _preset(pattern.dim, i_max, taper_scale,
-                                          n_scales, reduced)
+                                          n_scales, ci_level is not None, reduced)
     normalized, record = _normalize(pattern)
     plan, curve, j_min, j_max = _calibrate(normalized, full_set, j_min, j_max,
                                            n_scales)
@@ -322,7 +351,7 @@ def _cmd_coverage(args):
         return cloaked_lattice(true_alpha, args.sigma, R, args.seed + rep)
 
     full_set, est_set, n_scales = _preset(2, args.imax, DEFAULT_SPATIAL_SCALE,
-                                          args.nscales, reduced=True)
+                                          args.nscales, ci=True, reduced=True)
     pilot, _ = _normalize(simulate_one(0))
     plan, _, j_min, j_max = _calibrate(pilot, full_set, None, None, n_scales)
     # quantiles of the pivot at the true exponent, shared by all replicates,

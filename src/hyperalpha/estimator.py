@@ -176,10 +176,10 @@ def calibrate_jmax_poisson(set_, R, replicates=60, seed=1234):
     band = np.maximum(_BAND_FLOOR, _BAND_Z * se)
     departed = resid < -band
     start = int(np.argmax(grid > _ANCHOR[1]))
-    for k in range(start, len(grid)):
-        if departed[k:].all():
-            return float(grid[k - 1])
-    return float(grid[-1])
+    # the first k >= start with every scale from k on departed
+    stayed = np.flatnonzero(~departed)
+    k = max(start, stayed[-1] + 1 if len(stayed) else 0)
+    return float(grid[k - 1])
 
 
 def select_jmin(curve, j_max):
@@ -191,32 +191,31 @@ def select_jmin(curve, j_max):
     fallback is j_max / 2.  On noisy curves the RSS profile plateaus, so
     among breakpoints within 5% of the optimum the earliest wins: it keeps
     the longest usable scale range and a sharp genuine knee is unaffected.
+    Every hinge fit shares the line [1, j], so one least-squares solve
+    residualizes the curve and all hinge columns on it (Frisch-Waugh-Lovell);
+    each breakpoint's RSS is then a one-column fit of the residuals.
     """
     mask = curve.grid <= j_max
     grid = curve.grid[mask]
     vals = curve.values[mask]
     if len(grid) < 10:
         raise DomainError("need at least 10 curve points below j_max")
-    ones = np.ones_like(grid)
-    design1 = np.column_stack([ones, grid])
-    rss1 = _fit_rss(design1, vals)
+    breaks = grid[2:-2]
+    line = np.column_stack([np.ones_like(grid), grid])
+    y = np.column_stack([vals, np.maximum(grid[:, None] - breaks, 0.0)])
+    resid = y - line @ np.linalg.lstsq(line, y, rcond=None)[0]
+    e, hinge = resid[:, 0], resid[:, 1:]
+    rss1 = float(e @ e)
+    # each breakpoint's slope change; its RSS from the residual itself, since
+    # rss1 - (e.h)^2 / h.h would cancel on sharp knees
+    kink = (e @ hinge) / np.sum(hinge**2, axis=0)
+    rss2 = np.sum((e[:, None] - kink * hinge) ** 2, axis=0)
     # an exactly linear curve leaves only rounding noise in rss1; any
     # "improvement" below that floor is meaningless
     floor = 1e-14 * max(1.0, float(vals @ vals))
-    breaks = grid[2:-2]
-    rss2 = np.empty(len(breaks))
-    for k, b in enumerate(breaks):
-        design2 = np.column_stack([ones, grid, np.maximum(grid - b, 0.0)])
-        rss2[k] = _fit_rss(design2, vals)
-    if len(breaks) == 0 or rss1 <= floor or rss2.min() > 0.95 * rss1:
+    if rss1 <= floor or rss2.min() > 0.95 * rss1:
         return j_max / 2.0
     return float(breaks[np.argmax(rss2 <= 1.05 * rss2.min())])
-
-
-def _fit_rss(design, y):
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    r = y - design @ coef
-    return float(r @ r)
 
 
 def pooled_estimate(reports):

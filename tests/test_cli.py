@@ -306,6 +306,69 @@ class TestExitCodes:
             assert (f"(--nscales) must be at least 2, got {n_scales}"
                     in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("bad, names", [
+        (["--jmin", "2"], ["--jmin", "2.0"]),
+        (["--jmax", "5"], ["--jmax", "5.0"]),
+        (["--jmin", "0"], ["--jmin", "0.0"]),
+        (["--jmin", "nan"], ["--jmin", "nan"]),
+        (["--jmin", "0.9", "--jmax", "0.5"], ["--jmin", "0.9", "--jmax", "0.5"]),
+        # above the calibrated j_max (0.95 at R = 12), checked before the curve
+        (["--jmin", "0.99"], ["--jmin", "0.99", "calibrated j_max"]),
+    ], ids=["jmin-above", "jmax-above", "jmin-zero", "jmin-nan", "order",
+            "above-calibrated"])
+    def test_bad_scale_range_refused_before_the_curve(self, bad, names, pattern_csv,
+                                                      monkeypatch, capsys):
+        # each exited 4 only after the diagnostic curve had been computed,
+        # with a message that named neither the flag nor the value
+        import hyperalpha.cli as cli
+        monkeypatch.setattr(cli, "curve_C", lambda *a: pytest.fail("ran"))
+        path, _ = pattern_csv
+        assert main(["estimate", "--input", path, "--half-width", "12", *bad]) == 4
+        err = capsys.readouterr().err
+        assert all(name in err for name in names), err
+
+    @pytest.mark.parametrize("argv, what", [
+        (["--ci-level", "0.95", "--ci-full", "--nscales", "300"],
+         "covariance of 168750000 floats"),
+        (["--ci-level", "0.95", "--ci-full", "--nscales", "231"],
+         "covariance of 100051875 floats"),
+        (["--nscales", "1333334"], "transform table of 100000050 floats"),
+        (["--nscales", str(10**30)], "transform table of"),
+    ], ids=["ci-300", "ci-231", "estimate", "estimate-huge"])
+    def test_scale_count_over_budget_refused_before_work(self, argv, what,
+                                                         pattern_csv, monkeypatch,
+                                                         capsys):
+        # the covariance's parity blocks, 1875 |J|^2 floats at --imax 10 in
+        # 2-D, or the |J| x 75 transform table, would be allocated unchecked
+        import hyperalpha.cli as cli
+        monkeypatch.setattr(cli, "_normalize", lambda *a: pytest.fail("ran"))
+        monkeypatch.setattr(cli, "curve_C", lambda *a: pytest.fail("ran"))
+        path, _ = pattern_csv
+        assert main(["estimate", "--input", path, "--half-width", "12", *argv]) == 4
+        err = capsys.readouterr().err
+        assert "--nscales" in err and "--imax 10" in err and what in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--ci-level", "0.95", "--ci-full"],
+        ["--ci-level", "0.95", "--ci-full", "--nscales", "230"],
+        ["--ci-level", "0.95", "--nscales", str(10**30)],
+        ["--nscales", "1333333"],
+    ], ids=["full-preset", "ci-230", "reduced-capped", "estimate"])
+    def test_scale_count_within_budget_admitted(self, argv, pattern_csv,
+                                                monkeypatch):
+        import hyperalpha.cli as cli
+
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args):
+            raise Admitted
+
+        monkeypatch.setattr(cli, "_normalize", admitted)
+        path, _ = pattern_csv
+        with pytest.raises(Admitted):
+            main(["estimate", "--input", path, "--half-width", "12", *argv])
+
     def test_warnings_follow_the_callers_filters(self, pattern_csv,
                                                  monkeypatch):
         # main installs no warning filter of its own, so a warning inside a

@@ -290,6 +290,102 @@ class TestSelectJmin:
             select_jmin(curve_from_values(grid, 2.0 * grid), 1.0)
 
 
+def select_jmin_by_loop(curve, j_max):
+    """The knee as one lstsq per breakpoint: select_jmin's oracle."""
+    mask = curve.grid <= j_max
+    grid, vals = curve.grid[mask], curve.values[mask]
+    ones = np.ones_like(grid)
+
+    def rss(design):
+        coef = np.linalg.lstsq(design, vals, rcond=None)[0]
+        r = vals - design @ coef
+        return float(r @ r)
+
+    rss1 = rss(np.column_stack([ones, grid]))
+    floor = 1e-14 * max(1.0, float(vals @ vals))
+    breaks = grid[2:-2]
+    rss2 = np.array([rss(np.column_stack([ones, grid, np.maximum(grid - b, 0.0)]))
+                     for b in breaks])
+    if rss1 <= floor or rss2.min() > 0.95 * rss1:
+        return j_max / 2.0
+    return float(breaks[np.argmax(rss2 <= 1.05 * rss2.min())])
+
+
+class TestSelectJminMatchesLoop:
+    """One residualizing solve picks the breakpoint the per-breakpoint fits pick."""
+
+    def test_exact_two_slope_curve(self):
+        grid = DIAGNOSTIC_GRID
+        vals = np.where(grid < 0.6, 2.0 * grid, 1.2 + 0.5 * (grid - 0.6))
+        curve = curve_from_values(grid, vals)
+        assert select_jmin(curve, 1.0) == select_jmin_by_loop(curve, 1.0)
+
+    def test_linear_fallback(self):
+        curve = curve_from_values(DIAGNOSTIC_GRID, 1.7 * DIAGNOSTIC_GRID + 0.3)
+        assert select_jmin(curve, 1.0) == select_jmin_by_loop(curve, 1.0) == 0.5
+
+    def test_noisy_curves(self):
+        rng = np.random.default_rng(2024)
+        grid = DIAGNOSTIC_GRID
+        fallbacks = 0
+        for _ in range(200):
+            brk = rng.uniform(0.2, 0.9)
+            slope2 = rng.uniform(0.0, 2.0)
+            vals = np.where(grid < brk, 2.0 * grid, 2.0 * brk + slope2 * (grid - brk))
+            vals = vals + rng.normal(scale=10 ** rng.uniform(-4, -1), size=len(grid))
+            j_max = rng.uniform(0.3, 1.3)
+            curve = curve_from_values(grid, vals)
+            got = select_jmin(curve, j_max)
+            assert got == select_jmin_by_loop(curve, j_max)
+            fallbacks += got == j_max / 2.0
+        # both branches are exercised
+        assert 0 < fallbacks < 200
+
+    @pytest.mark.parametrize("make, d, R", [
+        (lambda R, s: cloaked_lattice(1.0, 0.25, R, s), 2, 20.0),
+        (lambda R, s: cloaked_lattice(0.5, 0.25, R, s), 2, 12.0),
+        (lambda R, s: poisson(1.0, R, seed=s), 2, 15.0),
+        (lambda R, s: poisson(1.0, R, seed=s, d=1), 1, 200.0),
+    ], ids=["cloaked-1", "cloaked-0.5", "poisson-2d", "poisson-1d"])
+    def test_real_curves(self, make, d, R):
+        set_ = build_taper_set(d, 10)
+        for seed in (1, 2):
+            p, _ = normalize_intensity(make(R, seed))
+            curve = curve_C(p, set_, DIAGNOSTIC_GRID)
+            j_max = calibrate_jmax(set_, p.half_width)
+            assert select_jmin(curve, j_max) == select_jmin_by_loop(curve, j_max)
+
+
+class TestPoissonKnee:
+    """calibrate_jmax_poisson on crafted curves: the last scale before the
+    mean curve leaves the slope-d line for good, never inside the anchor."""
+
+    def knee(self, monkeypatch, set4, drop):
+        grid = DIAGNOSTIC_GRID
+        curve = 2.0 * grid + 0.3 - 0.1 * drop(grid)
+        monkeypatch.setattr(est_mod, "poisson_curves",
+                            lambda set_, R, replicates, seed:
+                            np.tile(curve, (replicates, 1)))
+        return calibrate_jmax_poisson(set4, 25.0)
+
+    def test_never_departs(self, monkeypatch, set4):
+        assert self.knee(monkeypatch, set4, lambda g: 0.0 * g) == 1.3
+
+    def test_departs_for_good(self, monkeypatch, set4):
+        got = self.knee(monkeypatch, set4, lambda g: g > 0.905)
+        assert got == pytest.approx(0.90)
+
+    def test_departs_inside_the_anchor(self, monkeypatch, set4):
+        # the first scale past the anchor (0.61) is the earliest knee index
+        got = self.knee(monkeypatch, set4, lambda g: g > 0.555)
+        assert got == pytest.approx(0.60)
+
+    def test_last_departure_counts(self, monkeypatch, set4):
+        got = self.knee(monkeypatch, set4,
+                        lambda g: ((g > 0.705) & (g < 0.805)) | (g > 1.005))
+        assert got == pytest.approx(1.00)
+
+
 class TestPooled:
     def make_report(self, a):
         return EstimateReport(alpha_hat=a, R=40.0, plan=None, curve=None,
