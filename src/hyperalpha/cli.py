@@ -21,10 +21,10 @@ import numpy as np
 from . import __version__
 from .errors import (DomainError, EmptyInput, EmptyPattern, HyperalphaError,
                      WindowTooSmall)
-from .estimator import (DEFAULT_N_SCALES, DIAGNOSTIC_GRID, calibrate_jmax,
-                        calibrate_jmax_poisson, check_n_scales, default_scale_plan,
-                        estimate_alpha, poisson_curves, pooled_estimate,
-                        select_jmin)
+from .estimator import (DEFAULT_N_SCALES, DIAGNOSTIC_GRID, KNEE_MIN_POINTS,
+                        calibrate_jmax, calibrate_jmax_poisson, check_n_scales,
+                        default_scale_plan, estimate_alpha, poisson_curves,
+                        pooled_estimate, select_jmin)
 from .geometry import PointPattern, Window, normalize_intensity
 from .inference import (DEFAULT_CI_DRAWS, MAX_CI_DRAWS, check_ci_request,
                         confidence_interval, pivot_quantiles)
@@ -151,40 +151,69 @@ def _preset(d, i_max, taper_scale, n_scales, ci, reduced):
     return full_set, est_set, n_scales
 
 
+def _check_knee_room(j_max, name):
+    """Refuse a j_max that leaves the knee fewer than KNEE_MIN_POINTS points
+    of DIAGNOSTIC_GRID at or below it."""
+    count = int(np.count_nonzero(DIAGNOSTIC_GRID <= j_max))
+    if count < KNEE_MIN_POINTS:
+        least = float(DIAGNOSTIC_GRID[KNEE_MIN_POINTS - 1])
+        raise DomainError(f"{name} {j_max!r} leaves {count} diagnostic grid points "
+                          f"at or below it and the knee needs {KNEE_MIN_POINTS}: "
+                          f"j_max must be at least {least!r} unless --jmin is given")
+
+
 def _check_scale_range(j_min, j_max):
-    """Refuse a given j_min or j_max outside (0, 1.3], or the two out of order."""
+    """Refuse a given j_min or j_max outside (0, 1.3], the two out of order, or
+    a given j_max too small for the knee that picks j_min."""
     for name, j in (("j_min (--jmin)", j_min), ("j_max (--jmax)", j_max)):
         if j is not None and not 0 < j <= 1.3:
             raise DomainError(f"{name} must lie in (0, 1.3], got {j!r}")
     if j_min is not None and j_max is not None and not j_min < j_max:
         raise DomainError(f"j_min (--jmin) {j_min!r} must be below "
                           f"j_max (--jmax) {j_max!r}")
+    if j_min is None and j_max is not None:
+        _check_knee_room(j_max, "j_max (--jmax)")
 
 
-def _calibrate(normalized, full_set, j_min, j_max, n_scales):
-    """Plan, curve, j_min and j_max; j_max and j_min are calibrated unless given."""
+def _calibrate(normalized, full_set, j_min, j_max, n_scales, whole_curve=False):
+    """Plan, curve, j_min and j_max; j_max and j_min are calibrated unless given.
+
+    The curve covers what is read: the knee reads DIAGNOSTIC_GRID up to j_max,
+    a given j_min reads none of it (curve None), and whole_curve asks for the
+    whole grid. Each row of a transform grid is the same whatever other scales
+    it holds, so the knee sees the same values either way.
+    """
     if j_max is None:
         j_max = calibrate_jmax(full_set, normalized.half_width)
         if j_min is not None and not j_min < j_max:
             raise DomainError(f"j_min (--jmin) {j_min!r} must be below the "
                               f"calibrated j_max {j_max!r}")
+        if j_min is None:
+            _check_knee_room(j_max, "calibrated j_max")
     j_max = float(j_max)
-    curve = curve_C(normalized, full_set, DIAGNOSTIC_GRID)
+    grid = DIAGNOSTIC_GRID if whole_curve else DIAGNOSTIC_GRID[DIAGNOSTIC_GRID <= j_max]
+    curve = curve_C(normalized, full_set, grid) if whole_curve or j_min is None else None
     j_min = select_jmin(curve, j_max) if j_min is None else float(j_min)
     return default_scale_plan(j_min, j_max, n_scales), curve, j_min, j_max
 
 
 def run_pipeline(pattern, i_max=DEFAULT_IMAX, taper_scale=DEFAULT_SPATIAL_SCALE,
                  j_min=None, j_max=None, n_scales=DEFAULT_N_SCALES, ci_level=None,
-                 ci_draws=DEFAULT_CI_DRAWS, ci_full=False, seed=0):
+                 ci_draws=DEFAULT_CI_DRAWS, ci_full=False, seed=0,
+                 whole_curve=False):
     """Normalize, calibrate scales, pick the knee, estimate, optionally CI.
 
     When an interval is requested the reduced preset drives both the point
     estimate and the interval (so the interval is centered correctly);
     ci_full opts into the full preset, where a 2-D interval takes no draws
     at the default i_max. Level, draws, given scales, scale count and taper
-    sets are checked first; a given j_min against a calibrated j_max before
+    sets are checked first, a given j_max against the knee's grid among
+    them; a calibrated j_max against a given j_min or the knee's grid before
     the curve.
+    The report's curve holds the DIAGNOSTIC_GRID points the knee read, those
+    at or below j_max, and is None when j_min is given; whole_curve (which
+    estimate --curve-output sets) evaluates all 120 points. The estimate is
+    the same either way.
     """
     if ci_level is not None:
         check_ci_request(ci_level, ci_draws)
@@ -194,7 +223,7 @@ def run_pipeline(pattern, i_max=DEFAULT_IMAX, taper_scale=DEFAULT_SPATIAL_SCALE,
                                           n_scales, ci_level is not None, reduced)
     normalized, record = _normalize(pattern)
     plan, curve, j_min, j_max = _calibrate(normalized, full_set, j_min, j_max,
-                                           n_scales)
+                                           n_scales, whole_curve)
     report = estimate_alpha(normalized, est_set, plan)
     report.curve = curve
     report.diagnostics["j_min"] = j_min
@@ -251,6 +280,8 @@ def _cmd_estimate(args):
             j_min=args.jmin, j_max=args.jmax, n_scales=args.nscales,
             ci_level=args.ci_level if len(patterns) == 1 else None,
             ci_draws=args.ci_draws, ci_full=args.ci_full, seed=args.seed,
+            # only the lead frame's curve is written
+            whole_curve=bool(args.curve_output) and not reports,
         )
         reports.append(report)
     if len(patterns) > 1 and args.ci_level is not None:

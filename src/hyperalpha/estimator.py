@@ -24,6 +24,9 @@ DIAGNOSTIC_GRID = np.round(np.linspace(0.11, 1.30, 120), 10)
 
 INTENSITY_WARN_TOL = 0.05
 
+# curve points at or below j_max that the knee fit needs
+KNEE_MIN_POINTS = 10
+
 
 @dataclass(frozen=True)
 class ScalePlan:
@@ -85,8 +88,10 @@ def default_scale_plan(j_min, j_max, n_scales=DEFAULT_N_SCALES):
 
 @dataclass
 class EstimateReport:
-    """One nonempty pattern's estimate; run_pipeline attaches its diagnostic
-    curve and the raw intensity (diagnostics["lambda_hat_raw"])."""
+    """One nonempty pattern's estimate; run_pipeline attaches the raw
+    intensity (diagnostics["lambda_hat_raw"]) and the diagnostic curve the
+    knee read: DIAGNOSTIC_GRID up to j_max, the whole grid when asked for,
+    None when j_min was given."""
 
     alpha_hat: float
     R: float
@@ -198,8 +203,9 @@ def select_jmin(curve, j_max):
     mask = curve.grid <= j_max
     grid = curve.grid[mask]
     vals = curve.values[mask]
-    if len(grid) < 10:
-        raise DomainError("need at least 10 curve points below j_max")
+    if len(grid) < KNEE_MIN_POINTS:
+        raise DomainError(f"need at least {KNEE_MIN_POINTS} curve points "
+                          "at or below j_max")
     breaks = grid[2:-2]
     line = np.column_stack([np.ones_like(grid), grid])
     y = np.column_stack([vals, np.maximum(grid[:, None] - breaks, 0.0)])

@@ -28,6 +28,12 @@ DEFAULT_SPATIAL_SCALE = 5.0
 # largest support grid a taper set builds; its length grows as 1/c
 _MAX_SUPPORT_GRID = 2**20
 
+# np.exp is exactly 0.0 at and below this argument (the boundary is near
+# -745.1332); exp(-y^2/2) past it, |y| > 38.605, would take exp's slow
+# underflow path. Every psi_n(y) is then exactly 0.0: the recurrence only
+# multiplies and subtracts zeros.
+EXP_ZERO = -745.14
+
 
 def hermite_function_values(n_max, y, out=None):
     """Values of the orthonormal Hermite functions psi_n(y), n = 0..n_max.
@@ -40,6 +46,9 @@ def hermite_function_values(n_max, y, out=None):
     of shape y.shape + (n_max + 1,) that puts the order on the last axis.
     Each step is written into its slab in place, through one scratch slab,
     as (a_n y) psi_n - b_n psi_(n-1), so no step allocates.
+    Where -y^2/2 lies below EXP_ZERO the Gaussian is written as 0.0 without
+    calling exp there, which gives the same bits faster; the denormal band
+    just inside EXP_ZERO keeps exp's values.
     out, if given, is that C-contiguous (n_max + 1,) + y.shape array, filled
     in place; a caller that evaluates many blocks reuses one buffer.
     """
@@ -53,7 +62,12 @@ def hermite_function_values(n_max, y, out=None):
     psi, flat_y = out.reshape(n_max + 1, -1), y.reshape(-1)
     np.multiply(-0.5, flat_y, out=psi[0])
     np.multiply(psi[0], flat_y, out=psi[0])
+    # one reduction finds whether any argument lies past EXP_ZERO
+    zero = (np.flatnonzero(psi[0] < EXP_ZERO)
+            if psi[0].min(initial=0.0) < EXP_ZERO else slice(0))
+    psi[0][zero] = 0.0
     np.exp(psi[0], out=psi[0])
+    psi[0][zero] = 0.0
     np.multiply(np.pi ** -0.25, psi[0], out=psi[0])
     if n_max >= 1:
         np.multiply(np.sqrt(2.0), flat_y, out=psi[1])

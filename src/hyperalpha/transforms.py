@@ -9,8 +9,10 @@ Every taper is a product of 1-D Hermite functions, so in d=2 the sums of
 all tapers over a block of points are the entries of the small matrix
 H_x^T H_y, where H_x holds the Hermite orders of the first coordinates.
 One kernel evaluates the orders once per axis and forms that product for
-a chunk of scales at a time; its cost is n * |J| * d * i_max for the
-recurrence plus n * |J| * i_max^d for the product.
+a chunk of scales at a time; its cost is at most n * |J| * d * i_max for
+the recurrence plus n * |J| * i_max^d for the product: a pair of a block
+and a chunk whose Hermite values on some axis are all exactly zero costs
+neither, and arguments whose Gaussian underflows skip exp.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ZeroTransformSum
-from .tapers import hermite_function_values
+from .tapers import EXP_ZERO, hermite_function_values
 
 _SUM_BLOCK = 1024
 
@@ -27,13 +29,28 @@ _SUM_BLOCK = 1024
 # all 170 scales of an estimate at once raise its peak memory by ~40 MB.
 _SCALE_CHUNK = 8
 
+# A (block, chunk) pair whose arguments |s x_l| on some axis l all exceed
+# this is skipped: there -y^2/2 < EXP_ZERO, so that axis's Hermite tables
+# are exactly 0.0 and the pair would add +-0 to every sum. The margin
+# covers the rounding of s * x and of -y^2/2, a few ulps.
+_ZERO_REACH = float(np.sqrt(-2.0 * EXP_ZERO)) * (1.0 + 1e-9)
+
 
 def _canonical_order(points):
-    """Lexicographic order by coordinates; ties broken by later columns."""
+    """Lexicographic order by coordinates; ties broken by later columns.
+
+    Without a tie in the first coordinate (-0.0 and 0.0 tie) that order is
+    the first coordinate's sort, which argsort finds about 10x faster than
+    lexsort; with one, lexsort's stable order is kept.
+    """
     if len(points) == 0:
         return points
-    keys = tuple(points[:, col] for col in range(points.shape[1] - 1, -1, -1))
-    return points[np.lexsort(keys)]
+    order = np.argsort(points[:, 0])
+    first = points[order, 0]
+    if np.any(first[1:] == first[:-1]):
+        keys = tuple(points[:, col] for col in range(points.shape[1] - 1, -1, -1))
+        order = np.lexsort(keys)
+    return points[order]
 
 
 @dataclass(frozen=True)
@@ -74,14 +91,23 @@ def _taper_sums(pts, mult, idx):
     on the chunk it shares, and block results are added in block order.
     Every block and chunk writes its arguments and Hermite tables into two
     buffers allocated once: fresh tables made malloc trim and regrow its heap.
+    A pair is skipped when, on some axis, the block's smallest |coordinate|
+    times the chunk's smallest multiplier lies past _ZERO_REACH; adding its
+    +-0 would leave every sum as it is (a sum is never -0.0).
     """
     n_max, d = int(idx.max()), idx.shape[1]
     out = np.zeros((len(mult), len(idx)))
     full = d * min(len(mult), _SCALE_CHUNK) * min(len(pts), _SUM_BLOCK)
     arg_buf, table_buf = np.empty(full), np.empty((n_max + 1) * full)
+    chunk_min = [float(mult[lo:lo + _SCALE_CHUNK].min())
+                 for lo in range(0, len(mult), _SCALE_CHUNK)]
     for start in range(0, len(pts), _SUM_BLOCK):
         block = pts[start:start + _SUM_BLOCK]
-        for lo in range(0, len(mult), _SCALE_CHUNK):
+        # the largest, over axes, of the block's smallest |coordinate|
+        min_abs = float(np.abs(block).min(axis=0).max())
+        for lo, s_min in zip(range(0, len(mult), _SCALE_CHUNK), chunk_min):
+            if min_abs * s_min > _ZERO_REACH:
+                continue
             s = mult[lo:lo + _SCALE_CHUNK, None]
             shape, size = (d, len(s), len(block)), d * len(s) * len(block)
             y = np.multiply(s, block.T[:, None, :], out=arg_buf[:size].reshape(shape))
@@ -117,7 +143,8 @@ def transform_grid(p, set_, J):
     Per block of 1024 canonically ordered points and chunk of 8 scales,
     each coordinate's Hermite orders 0..i_max-1 are evaluated once and
     combined by one batched matrix product (d=2) or a sum (d=1). The cost
-    is n * |J| * (d * i_max + i_max^d) and is linear in |J|; each row of
+    is at most n * |J| * (d * i_max + i_max^d), less where whole blocks lie
+    past the Hermite functions' exact zeros, and linear in |J|; each row of
     the result is the same whatever other scales J holds.
     """
     R, J = _check_args(p, J, "transform_grid")

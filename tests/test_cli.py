@@ -327,6 +327,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert all(name in err for name in names), err
 
+    @pytest.mark.parametrize("calibrated", [False, True],
+                             ids=["given", "calibrated"])
+    def test_jmax_too_small_for_the_knee_refused_before_the_curve(
+            self, calibrated, tmp_path, pattern_csv, monkeypatch, capsys):
+        # the knee needs 10 grid points at or below j_max, the 10th being
+        # 0.2; below that estimate exited 4 only after the diagnostic curve,
+        # with a message that named neither the flag nor the value. At
+        # --taper-scale 1 the taper support is 5.58, so a window of
+        # normalized half-width 8 calibrates j_max near 0.17
+        import hyperalpha.cli as cli
+        monkeypatch.setattr(cli, "curve_C", lambda *a: pytest.fail("ran"))
+        if calibrated:
+            path = tmp_path / "small.csv"
+            write_csv(path, np.mgrid[-7.5:8:1, -7.5:8:1].reshape(2, -1).T)
+            argv, names = (["--input", str(path), "--half-width", "8",
+                            "--taper-scale", "1"], ["calibrated j_max 0.17"])
+        else:
+            argv, names = (["--input", pattern_csv[0], "--half-width", "12",
+                            "--jmax", "0.15"], ["--jmax", "0.15", "leaves 5"])
+        assert main(["estimate", *argv]) == 4
+        err = capsys.readouterr().err
+        assert all(name in err for name in names + ["at least 0.2"]), err
+        # a given j_min needs no knee, so the same j_max is admitted
+        monkeypatch.undo()
+        assert main(["estimate", *argv, "--jmin", "0.11", "--nscales", "5"]) == 0
+
     @pytest.mark.parametrize("argv, what", [
         (["--ci-level", "0.95", "--ci-full", "--nscales", "300"],
          "covariance of 168750000 floats"),
@@ -523,6 +549,8 @@ class TestEstimate:
         assert np.isfinite(j_max) and 0 < j_max <= 1.3
 
     def test_curve_output(self, pattern_csv, tmp_path, capsys):
+        # the written curve covers the whole grid, though without the flag
+        # only the grid up to j_max is evaluated; the estimate is the same
         path, _ = pattern_csv
         curve_path = tmp_path / "curve.csv"
         rc = main(["estimate", "--input", path, "--half-width", "12",
@@ -531,6 +559,28 @@ class TestEstimate:
         lines = curve_path.read_text().splitlines()
         assert lines[0] == "j,C"
         assert len(lines) == 1 + 120
+        with_curve = json.loads(capsys.readouterr().out)
+        assert main(["estimate", "--input", path, "--half-width", "12"]) == 0
+        without = json.loads(capsys.readouterr().out)
+        assert with_curve.pop("curve_path") == str(curve_path)
+        assert without.pop("curve_path") is None
+        with_curve["config_echo"].pop("curve_output")
+        without["config_echo"].pop("curve_output")
+        assert with_curve == without
+
+    def test_curve_covers_what_is_read(self, pattern_csv):
+        _, p = pattern_csv
+        report, _ = run_pipeline(p)
+        j_max = report.diagnostics["j_max"]
+        np.testing.assert_array_equal(report.curve.grid,
+                                      DIAGNOSTIC_GRID[DIAGNOSTIC_GRID <= j_max])
+        whole, _ = run_pipeline(p, whole_curve=True)
+        np.testing.assert_array_equal(whole.curve.grid, DIAGNOSTIC_GRID)
+        # each scale's value is the same whatever else the grid holds
+        np.testing.assert_array_equal(
+            whole.curve.values[:len(report.curve.grid)], report.curve.values)
+        assert whole.alpha_hat == report.alpha_hat
+        assert run_pipeline(p, j_min=0.3)[0].curve is None
 
 
 class TestRescaleInvariance:

@@ -10,6 +10,7 @@ from hyperalpha.errors import DomainError
 from hyperalpha.numerics import quad_radial
 from hyperalpha.tapers import (
     DEFAULT_SUPPORT_EPS,
+    EXP_ZERO,
     TaperSet,
     build_taper_set,
     hermite_function_values,
@@ -109,6 +110,35 @@ class TestHermiteValues:
         assert np.shares_memory(vals, buf)
         assert vals.shape == shape + (10,)
         np.testing.assert_array_equal(vals, hermite_function_values(9, y))
+
+    def test_exp_is_zero_at_and_below_the_cutoff(self):
+        below = [EXP_ZERO, np.nextafter(EXP_ZERO, -np.inf), -746.0, -1e300, -np.inf]
+        assert np.all(np.exp(np.array(below)) == 0.0)
+        # just inside the cutoff exp still gives denormals, which are kept
+        assert np.exp(-745.13) > 0.0
+
+    def test_underflow_tail_matches_scalar_recurrence(self):
+        # in-range arguments, the denormal band 37.6 < |y| <= 38.6 and
+        # arguments past the cutoff, mixed in one vector, against the
+        # recurrence evaluated one scalar at a time with exp everywhere
+        rng = np.random.default_rng(12)
+        y = np.concatenate([rng.uniform(0.0, 37.6, 40), rng.uniform(37.6, 38.6, 40),
+                            [38.6039, 38.6040, 38.6056, 38.6058, 39.0, 1e3, 1e150],
+                            rng.uniform(38.6, 60.0, 40)])
+        y = rng.permutation(np.concatenate([y, -y]))
+        n_max = 12
+        ref = np.empty((len(y), n_max + 1))
+        for k, v in enumerate(y):
+            psi = [np.pi ** -0.25 * np.exp((-0.5 * v) * v)]
+            psi.append((np.sqrt(2.0) * v) * psi[0])
+            for n in range(1, n_max):
+                psi.append((np.sqrt(2.0 / (n + 1)) * v) * psi[n]
+                           - np.sqrt(n / (n + 1.0)) * psi[n - 1])
+            ref[k] = psi
+        got = np.ascontiguousarray(hermite_function_values(n_max, y))
+        # bit for bit, the signs of zeros included
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+        assert np.any(ref[:, 0] == 0.0) and np.any((ref[:, 0] > 0) & (ref[:, 0] < 1e-300))
 
     @pytest.mark.parametrize("buf", [np.empty((10, 8)), np.empty((10, 7, 2))[..., 0],
                                      np.empty((10, 7), dtype=np.float32)])

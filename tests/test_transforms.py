@@ -10,7 +10,9 @@ from hyperalpha.tapers import (
     hermite_function_values,
     taper_eval,
 )
+from hyperalpha import transforms
 from hyperalpha.transforms import (
+    _canonical_order,
     curve_C,
     transform_grid,
     wavelet_transform,
@@ -113,28 +115,64 @@ class TestTransformGrid:
         return out
 
     @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("n", [1, 1000, 2500])
+    @pytest.mark.parametrize("n", [1, 1000, 2500, 3000])
     @pytest.mark.parametrize("n_scales", [1, 10, 17])
-    def test_reused_tables_match_per_axis_kernel(self, d, n, n_scales):
+    def test_reused_tables_match_per_axis_kernel(self, d, n, n_scales,
+                                                 monkeypatch):
         # whole and partial blocks of points and chunks of scales all land
-        # in leading slices of the reused buffers, bit for bit
+        # in leading slices of the reused buffers, bit for bit; at n = 3000
+        # a wide window and small scales put the outer two blocks past the
+        # Hermite functions' exact zeros at every scale, so the kernel skips
+        # those (block, chunk) pairs and evaluates the middle block's
         set_ = build_taper_set(d, 10)
-        R = 20.0
+        R, J = (60.0, np.linspace(0.05, 0.2, n_scales)) if n == 3000 else \
+            (20.0, np.linspace(0.1, 1.2, n_scales))
         pts = np.random.default_rng(100 * d + n).uniform(-R, R, size=(n, d))
         p = PointPattern(pts, Window(R), dim=d)
-        J = np.linspace(0.1, 1.2, n_scales)
         ref = self.per_axis_kernel(
             p.points[np.lexsort(p.points.T[::-1])],
             set_.spatial_scale / R ** J,
             np.asarray(set_.indices, dtype=np.intp))
+        calls = []
+        evaluate = transforms.hermite_function_values
+        monkeypatch.setattr(transforms, "hermite_function_values",
+                            lambda *a, **k: calls.append(1) or evaluate(*a, **k))
         np.testing.assert_array_equal(transform_grid(p, set_, J).values, ref)
+        if n == 3000:
+            # one table per evaluated pair: the middle block's chunks
+            assert len(calls) == -(-n_scales // 8)
+
+    def test_denormal_band_is_summed_not_skipped(self):
+        # every first coordinate lies just inside the zero reach, |y| in
+        # (38.5, 38.6), where the Hermite values are denormal: the block is
+        # evaluated, and its sums keep those values
+        set_ = build_taper_set(2, 4)
+        R, J = 60.0, np.array([0.5])
+        mult = set_.spatial_scale / R ** J
+        pts = np.column_stack([np.linspace(38.5, 38.6, 50) / mult[0], np.zeros(50)])
+        values = transform_grid(PointPattern(pts, Window(R), dim=2), set_, J).values
+        ref = self.per_axis_kernel(pts, mult, np.asarray(set_.indices, dtype=np.intp))
+        np.testing.assert_array_equal(values, ref)
+        assert np.any(values != 0.0) and np.all(np.abs(values) < 1e-300)
 
     def test_permutation_bit_identity(self, set10):
         rng = np.random.default_rng(6)
-        # whole and partial last blocks of 1024 points, in d=2 and d=1
-        for d, n in ((2, 2048), (2, 2500), (1, 2048), (1, 2500)):
+        # whole and partial last blocks of 1024 points, in d=2 and d=1; on
+        # a 0.5 grid first coordinates tie, -0.0 against 0.0 included
+        for d, n, tied in ((2, 2048, False), (2, 2500, False), (1, 2048, False),
+                           (1, 2500, False), (2, 2500, True), (1, 2500, True)):
             set_ = set10 if d == 2 else build_taper_set(1, 10)
-            pts = rng.uniform(-6, 6, size=(n, d))
+            if tied:
+                pts = rng.integers(-12, 13, size=(n, d)) * 0.5
+                pts[::7, 0] *= -1.0
+            else:
+                pts = rng.uniform(-6, 6, size=(n, d))
+            # the canonical order is lexicographic, ties kept in input order
+            np.testing.assert_array_equal(
+                np.signbit(_canonical_order(pts)),
+                np.signbit(pts[np.lexsort(pts.T[::-1])]))
+            np.testing.assert_array_equal(_canonical_order(pts),
+                                          pts[np.lexsort(pts.T[::-1])])
             J = np.array([0.5, 1.0])
             g1 = transform_grid(PointPattern(pts, Window(6.0), dim=d), set_, J)
             g2 = transform_grid(PointPattern(pts[::-1], Window(6.0), dim=d),
