@@ -33,7 +33,9 @@ In d = 2 the covariance is isotropic: swapping the axes of both tapers,
 (a, b) -> (b, a), leaves an entry unchanged, although its degree
 tables are convolved in the other order. Each swap orbit of taper pairs
 is computed once and written to every member, so the matrix is exactly
-invariant under the axis swap.
+invariant under the axis swap; sigma_transient and sigma_asymptotic
+record that as CovBlockMatrix.swap, which the third cumulant of the
+pivot reads.
 
 Entries are for unscaled tapers. The physical taper scale c contributes a
 common factor c^(beta-d); a common factor scales every chi-square block
@@ -42,7 +44,7 @@ confidence interval.
 """
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -176,12 +178,20 @@ class CovBlockMatrix:
     class, rows ascending, classes in the order of their first taper. A
     dense matrix= is split into them, and reading matrix assembles it.
     index_map and structural_zero are derived when read.
+
+    swap, when not None, is the row permutation of the axis swap
+    (a, b) -> (b, a), under which the blocks are exactly invariant: row
+    (taper (a, b), scale j) goes to row ((b, a), j). sigma_transient and
+    sigma_asymptotic set it, since they write the blocks so; it is not a
+    constructor argument, so a covariance built from matrix= or by
+    dataclasses.replace never carries it.
     """
 
     indices: tuple
     scales: np.ndarray
     blocks: tuple = ()
     matrix: InitVar[np.ndarray] = None
+    swap: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self, matrix):
         if matrix is None:
@@ -249,6 +259,15 @@ def _taper_swap(indices):
     return np.array(swap)
 
 
+def _swap_invariant(cov):
+    """Mark cov, whose blocks _assemble wrote, with its axis-swap rows."""
+    sw = _taper_swap(cov.indices)
+    if sw is not None:
+        rows = np.arange(0, cov.dim, len(cov.indices))[:, None] + sw
+        object.__setattr__(cov, "swap", rows.ravel())
+    return cov
+
+
 def _assemble(indices, J, beta, R):
     """The (rows, B) blocks of the parity classes, as CovBlockMatrix stores them.
 
@@ -258,7 +277,9 @@ def _assemble(indices, J, beta, R):
     pair a <= b per swap orbit is filled across all scale pairs at once
     and written into its swapped image and into the mirrored pairs (b, a),
     so every block is exactly symmetric, and the blocks exactly invariant
-    under the axis swap, by construction.
+    under the axis swap, by construction. A class that is the swap image
+    of an earlier one, (odd, even) of (even, odd), is gathered from that
+    block instead of written a second time.
     """
     idx = np.asarray(indices)
     nI, nJ = len(idx), len(J)
@@ -283,7 +304,15 @@ def _assemble(indices, J, beta, R):
     pos = np.array([np.count_nonzero(label[:k] == c) for k, c in enumerate(label)])
     blocks = []
     for k, rows in enumerate(_class_rows(idx, nJ)):
-        block = np.zeros((nJ, len(rows) // nJ) * 2)
+        # a class whose swap image came earlier is that block, gathered on
+        # the image rows: the same values, without a second scatter
+        tapers = np.flatnonzero(label == k)
+        image = label[sw[tapers[0]]]
+        if image < k:
+            q = (np.arange(nJ)[:, None] * len(tapers) + pos[sw[tapers]]).ravel()
+            blocks.append((rows, blocks[image][1][np.ix_(q, q)]))
+            continue
+        block = np.zeros((nJ, len(tapers)) * 2)
         # a pair and its swap image can lie in different classes
         for a, b in ((A, B), (sw[A], sw[B])):
             mine = label[a] == k
@@ -304,8 +333,8 @@ def sigma_transient(set_, J, beta, R):
         raise DomainError("need R > 1")
     if beta < 0:
         raise DomainError("beta must be nonnegative")
-    return CovBlockMatrix(indices=set_.indices, scales=J,
-                          blocks=_assemble(set_.indices, J, beta, R))
+    return _swap_invariant(CovBlockMatrix(
+        indices=set_.indices, scales=J, blocks=_assemble(set_.indices, J, beta, R)))
 
 
 def sigma_asymptotic(set_, J, alpha):
@@ -324,4 +353,5 @@ def sigma_asymptotic(set_, J, alpha):
         block = np.zeros((len(J), len(B)) * 2)
         block[ar, :, ar, :] = B
         blocks.append((rows, block.reshape(len(rows), -1)))
-    return CovBlockMatrix(indices=set_.indices, scales=J, blocks=tuple(blocks))
+    return _swap_invariant(CovBlockMatrix(indices=set_.indices, scales=J,
+                                          blocks=tuple(blocks)))

@@ -27,6 +27,8 @@ _CHUNK_NORMALS = 2**21
 DEFAULT_CI_DRAWS = 20000
 # the most draws, 800 MB of pivot values; the simulators cap points at 1e8 too
 MAX_CI_DRAWS = 10**8
+# rows of (AB)^2 formed at once for tr((AB)^3): 2.5 MB at 1250 columns
+_CUBE_TILE = 256
 # least nu_j for Cornish-Fisher quantiles: the full d = 2 preset (56-72) is within
 # 1.8 Monte Carlo standard errors; i_max 8 (43-46) missed by 3.3, nu <= 11 by 3-15
 _CF_MIN_DOF = 50
@@ -126,6 +128,53 @@ def check_ci_request(level, draws):
         raise DomainError(f"--ci-draws must be 1 to {MAX_CI_DRAWS:.0e}, got {draws}")
 
 
+def _trace_cube(a, X):
+    """tr((A X)^3) with A = diag(a), summed over row tiles of (A X)^2."""
+    AX = a[:, None] * X
+    total = 0.0
+    for t in range(0, len(AX), _CUBE_TILE):
+        tile = slice(t, t + _CUBE_TILE)
+        total += np.einsum("ij,ji->", AX[tile] @ AX, AX[:, tile])
+    return total
+
+
+def _cube_pieces(cov):
+    """(rows, X, count) whose count * tr((A X)^3) add up to the blocks' tr((A B)^3).
+
+    A is constant on each scale's rows, so it commutes with the axis swap,
+    which maps each scale's rows onto themselves. Without cov.swap every
+    block is one piece. With it, a block that the swap maps onto another
+    is that block's image and counts twice. A block mapped onto itself is
+    split along the swap's row involution P, with fixed rows f and pairs
+    l < h = P(l): it is similar to the direct sum of [[B_ff, 2 B_fl],
+    [B_lf, B_ll + B_lh]] (its even part, scaled by a factor 2 rather than
+    sqrt 2 so nothing is rounded) and B_ll - B_lh (its odd part).
+    """
+    if cov.swap is None:
+        for rows, B in cov.blocks:
+            yield rows, B, 1
+        return
+    block_of = np.empty(cov.dim, dtype=np.int64)
+    for k, (rows, _) in enumerate(cov.blocks):
+        block_of[rows] = k
+    for k, (rows, B) in enumerate(cov.blocks):
+        image = cov.swap[rows]
+        partner = block_of[image[0]]
+        if partner != k:
+            if partner > k:
+                yield rows, B, 2
+            continue
+        P, own = np.searchsorted(rows, image), np.arange(len(rows))
+        f, low = own[P == own], own[P > own]
+        even = np.concatenate([f, low])
+        X = B[np.ix_(even, even)]
+        X[:len(f), len(f):] *= 2.0
+        B_lh = B[np.ix_(low, P[low])]
+        X[len(f):, len(f):] += B_lh
+        yield rows[even], X, 1
+        yield rows[low], B[np.ix_(low, low)] - B_lh, 1
+
+
 def cumulant_quantiles(cov, plan, level):
     """Pivot quantiles (lower, upper), min nu_j and skew from cov.blocks alone.
 
@@ -135,6 +184,10 @@ def cumulant_quantiles(cov, plan, level):
     the mean m = sum w_j (log mu_j - V_jj / 2) and variance s^2 = w'Vw; the
     linear part N'AN, A = diag(w_j / mu_j) on scale j's rows, has third
     cumulant 8 tr((AC)^3) over blocks. Cornish-Fisher: m + s (z + skew (z^2 - 1) / 6).
+    The cube is summed over row tiles of (AB)^2, so no second full block is
+    held; a covariance that carries its axis swap (cov.swap, d = 2) takes
+    it once per swap image and splits a self-mapped block into its even
+    and odd parts (_cube_pieces), which moves the skew by round-off only.
     """
     if not 0 < level < 1:
         raise DomainError("confidence level must be in (0, 1)")
@@ -151,10 +204,9 @@ def cumulant_quantiles(cov, plan, level):
         raise ZeroTransformSum("a scale has a zero-trace covariance block")
     V = 2.0 * frob / np.outer(mu, mu)
     m, s = w @ (np.log(mu) - np.diag(V) / 2.0), np.sqrt(w @ V @ w)
-    kappa3 = 0.0
-    for rows, B in cov.blocks:
-        AB = np.repeat(w / mu, len(rows) // nJ)[:, None] * B
-        kappa3 += 8.0 * np.einsum("ij,ji->", AB @ AB, AB)
+    a, nI = w / mu, len(cov.indices)
+    kappa3 = 8.0 * sum(count * _trace_cube(a[rows // nI], X)
+                       for rows, X, count in _cube_pieces(cov))
     skew = kappa3 / s**3
     z = 0.0  # the normal quantile at (1 + level) / 2, by Newton on the convex tail
     for _ in range(50):

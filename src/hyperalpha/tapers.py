@@ -48,7 +48,8 @@ def hermite_function_values(n_max, y, out=None):
     as (a_n y) psi_n - b_n psi_(n-1), so no step allocates.
     Where -y^2/2 lies below EXP_ZERO the Gaussian is written as 0.0 without
     calling exp there, which gives the same bits faster; the denormal band
-    just inside EXP_ZERO keeps exp's values.
+    just inside EXP_ZERO keeps exp's values. Every order is then a zero,
+    also at y = +-inf, and a huge |y| raises no overflow warning.
     out, if given, is that C-contiguous (n_max + 1,) + y.shape array, filled
     in place; a caller that evaluates many blocks reuses one buffer.
     """
@@ -61,10 +62,19 @@ def hermite_function_values(n_max, y, out=None):
     # one row per order; rows are views, also for a 0-d y
     psi, flat_y = out.reshape(n_max + 1, -1), y.reshape(-1)
     np.multiply(-0.5, flat_y, out=psi[0])
-    np.multiply(psi[0], flat_y, out=psi[0])
-    # one reduction finds whether any argument lies past EXP_ZERO
-    zero = (np.flatnonzero(psi[0] < EXP_ZERO)
-            if psi[0].min(initial=0.0) < EXP_ZERO else slice(0))
+    # -y^2/2 is -inf for |y| above about 1.3e154, and exp(-inf) is 0.0
+    with np.errstate(over="ignore"):
+        np.multiply(psi[0], flat_y, out=psi[0])
+    # one reduction finds whether any argument lies past EXP_ZERO; fmin
+    # skips NaN, so a NaN argument leaves the others' zeros alone
+    low = np.fmin.reduce(psi[0], initial=0.0)
+    zero = np.flatnonzero(psi[0] < EXP_ZERO) if low < EXP_ZERO else slice(0)
+    if low == -np.inf:
+        # past EXP_ZERO the recurrence multiplies zeros by y; y's sign alone
+        # gives the same signed zeros where y is finite, and no inf * 0
+        # (NaN) or overflow where it is huge or infinite
+        flat_y = flat_y.copy()
+        flat_y[zero] = np.sign(flat_y[zero])
     psi[0][zero] = 0.0
     np.exp(psi[0], out=psi[0])
     psi[0][zero] = 0.0

@@ -433,6 +433,31 @@ def dense_cumulants(cov, plan):
     return mu, V, 8.0 * np.trace(AC @ AC @ AC)
 
 
+def per_block_quantiles(cov, plan, level):
+    """cumulant_quantiles with one whole (AB)^2 product per parity block.
+
+    No swap is read and no tiles are taken: the reference the swap path
+    and the tiles are checked against.
+    """
+    nJ, w = len(plan), plan.weights
+    mu, frob = np.zeros(nJ), np.zeros((nJ, nJ))
+    for rows, B in cov.blocks:
+        Bs = B.reshape(nJ, len(rows) // nJ, nJ, -1)
+        mu += np.einsum("jiji->j", Bs)
+        frob += np.einsum("jakb,jakb->jk", Bs, Bs)
+    V = 2.0 * frob / np.outer(mu, mu)
+    m, s = w @ (np.log(mu) - np.diag(V) / 2.0), np.sqrt(w @ V @ w)
+    kappa3 = 0.0
+    for rows, B in cov.blocks:
+        AB = np.repeat(w / mu, len(rows) // nJ)[:, None] * B
+        kappa3 += 8.0 * np.einsum("ij,ji->", AB @ AB, AB)
+    skew = kappa3 / s**3
+    z = -NormalDist().inv_cdf((1.0 - level) / 2.0)
+    shift = skew * (z * z - 1.0) / 6.0
+    return (float(m + s * (shift - z)), float(m + s * (shift + z)),
+            float(np.min(2.0 / np.diag(V))), float(skew))
+
+
 class TestCumulantQuantiles:
     @pytest.mark.parametrize("case", ["small_cov", "fallback_cov"])
     def test_matches_dense_cumulants(self, case, request):
@@ -476,6 +501,83 @@ class TestCumulantQuantiles:
         for got, sign in ((lo, -1.0), (hi, 1.0)):
             want = m + s * (sign * z + skew * (z * z - 1.0) / 6.0)
             assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n_scales", [5, 50])
+    @pytest.mark.parametrize("i_max", [4, 6, 10])
+    def test_swap_path_matches_per_block_reference(self, i_max, n_scales):
+        # a d = 2 covariance carries its axis swap; the cube then counts the
+        # swap-image blocks once each and splits the self-mapped block, and
+        # its skew and ends agree with one whole product per block. At
+        # beta = 0, and for the asymptotic covariance, the equally spaced
+        # scales' antisymmetric weights make kappa3 vanish but for
+        # round-off (|skew| below 1e-13), hence the skew's absolute floor
+        set_ = build_taper_set(2, i_max)
+        plan = default_scale_plan(0.5, 0.95, n_scales=n_scales)
+        for beta in (0.0, 0.7, 1.5):
+            for cov in (sigma_transient(set_, plan.scales, beta, 25.0),
+                        sigma_transient(set_, plan.scales, beta, 40.0),
+                        sigma_asymptotic(set_, plan.scales, beta)):
+                assert cov.swap is not None
+                got = cumulant_quantiles(cov, plan, 0.95)
+                want = per_block_quantiles(cov, plan, 0.95)
+                assert got[2] == want[2]
+                assert got[:2] == pytest.approx(want[:2], rel=1e-13, abs=0.0)
+                assert got[3] == pytest.approx(want[3], rel=1e-13, abs=1e-13)
+
+    def test_swap_pieces_at_the_full_preset(self, set10):
+        # i_max 10: (odd, even) is the swap image of (even, odd), whose
+        # cube counts twice; (odd, odd) maps onto itself with 5 of its 25
+        # tapers fixed, so its 1250 rows split into 250 + 500 and 500
+        plan = default_scale_plan(0.73, 0.97, n_scales=50)
+        cov = sigma_transient(set10, plan.scales, 1.0, 40.0)
+        sizes = [(len(rows), X.shape, count)
+                 for rows, X, count in inference._cube_pieces(cov)]
+        assert sizes == [(1250, (1250, 1250), 2), (750, (750, 750), 1),
+                         (500, (500, 500), 1)]
+
+    def test_constructed_covariance_is_unmarked(self, small_cov):
+        # only sigma_transient and sigma_asymptotic mark a covariance: one
+        # built from matrix=, or copied by dataclasses.replace, takes the
+        # plain per-block cube, so a matrix that is not swap-invariant keeps
+        # its own skew
+        set4, plan, cov = small_cov
+        assert cov.swap is not None
+        for other in (CovBlockMatrix(indices=set4.indices, scales=plan.scales,
+                                     matrix=cov.matrix),
+                      dataclasses.replace(cov, matrix=cov.matrix),
+                      dataclasses.replace(cov)):
+            assert other.swap is None
+            assert [len(rows) for rows, _, _ in inference._cube_pieces(other)] == [
+                len(rows) for rows, _ in cov.blocks]
+        with pytest.raises(TypeError):
+            CovBlockMatrix(indices=set4.indices, scales=plan.scales, swap=cov.swap)
+
+    @pytest.mark.parametrize("n_scales", [6, 25])
+    def test_d1_takes_the_per_block_product_bit_for_bit(self, n_scales):
+        # d = 1 has no axis swap, and its blocks fit in one row tile, so the
+        # cube is the one whole product per block, to the last bit
+        set1 = build_taper_set(1, 10)
+        plan = default_scale_plan(0.4, 1.0, n_scales=n_scales)
+        for beta in (0.0, 0.5):
+            cov = sigma_transient(set1, plan.scales, beta, 200.0)
+            assert cov.swap is None
+            assert max(len(rows) for rows, _ in cov.blocks) <= inference._CUBE_TILE
+            assert cumulant_quantiles(cov, plan, 0.95)[3] == (
+                per_block_quantiles(cov, plan, 0.95)[3])
+
+    def test_peak_memory_full_preset(self, set10):
+        # 3 blocks of 1250 rows (37.5 MB, built before tracing starts): AB
+        # (12.5 MB) and one row tile of (AB)^2 fit in 20 MB, a whole second
+        # (AB)^2 next to AB (25 MB) does not
+        plan = default_scale_plan(0.73, 0.97, n_scales=50)
+        cov = sigma_transient(set10, plan.scales, 1.0, 40.0)
+        tracemalloc.start()
+        try:
+            cumulant_quantiles(cov, plan, 0.95)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20e6
 
     def test_validation(self, small_cov):
         _, plan, cov = small_cov

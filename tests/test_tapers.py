@@ -140,6 +140,20 @@ class TestHermiteValues:
         np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
         assert np.any(ref[:, 0] == 0.0) and np.any((ref[:, 0] > 0) & (ref[:, 0] < 1e-300))
 
+    def test_infinite_and_huge_arguments_give_zeros(self):
+        # psi_n(+-inf) = 0 on every order, with no NaN from inf * 0, and
+        # -y^2/2 overflowing at 1e200 raises no warning, which the suite's
+        # filter would turn into an error; the zeros carry the
+        # signs they have at a finite argument past the cutoff, and a NaN
+        # argument stays NaN without touching the others
+        y = np.array([np.inf, -np.inf, 1e200, -1e200, 1.7e308, -1.7e308, np.nan])
+        got = np.ascontiguousarray(hermite_function_values(12, y))
+        finite = np.ascontiguousarray(hermite_function_values(12, np.array([1e3, -1e3])))
+        assert np.all(got[:-1] == 0.0) and np.all(np.isnan(got[-1]))
+        for k in range(0, 6, 2):
+            np.testing.assert_array_equal(got[k:k + 2].view(np.int64),
+                                          finite.view(np.int64))
+
     @pytest.mark.parametrize("buf", [np.empty((10, 8)), np.empty((10, 7, 2))[..., 0],
                                      np.empty((10, 7), dtype=np.float32)])
     def test_unusable_out_buffer_is_refused(self, buf):
