@@ -1,14 +1,27 @@
-"""Gaussian-limit covariance of the transform vector, as one matrix product.
+"""Gaussian-limit covariance of the transform vector, in closed form.
 
 One closed form serves d = 1 and d = 2. Each entry is a finite sum over
 the total Hermite degrees L1, L2 of its two tapers,
 
-    entry = 1/2 * sum over (L1, L2) of D_pair(L1, L2) * K_{L1,L2}(j1, j2),
+    entry = 1/2 * sum over (L1, L2) of D_pair(L1, L2) * K_{L1,L2}(j2 - j1),
 
-so a whole matrix is 0.5 * D @ K. The degree table D is indexed by taper
-pair and (L1, L2) and depends on neither beta, R nor the scales; the scale
-kernel K is indexed by (L1, L2) and scale pair and is shared by every
-taper pair.
+so the entries of all taper pairs at all scale gaps are 0.5 * D @ K. The
+degree table D is indexed by taper pair and (L1, L2) and depends on neither
+beta, R nor the scales; the scale kernel K is indexed by (L1, L2) and scale
+gap and is shared by every taper pair.
+
+K reads the scales only through the gap j2 - j1, so each taper pair's
+entries are a function of the gap (a Toeplitz matrix in scale, for evenly
+spaced scales). They are computed once per distinct gap of the scales and
+gathered into the blocks: 50 evenly spaced scales make 2500 scale pairs
+but 209 gaps (their 99 exact gaps round to 209 distinct floats).
+
+The product D @ K is a fixed-order sum: each taper pair adds its nonzero
+D(L1, L2) K terms (about 7% of D's entries are nonzero) in ascending
+(L1, L2) order, in elementwise operations. A BLAS product's summation
+order can follow the thread count (at i_max 10 over 50 scales' gaps,
+D @ K gave different bytes under one and two OpenBLAS threads); this sum
+gives the same bytes under any thread count.
 
 D comes from per-axis tables. The moment of the unit sphere S^(d-1)
 splits into per-axis factors and a factor of the total degree,
@@ -73,10 +86,14 @@ def _gamma(x):
 
 
 def _convolve(A, B):
-    """Full 2-D convolution of (P, m, m) and (P, n, n) tables, pair by pair."""
+    """Full 2-D convolution of (P, m, m) and (P, n, n) tables, pair by pair.
+
+    The (a, b) slices of A that are zero for every pair add nothing and
+    are skipped: half of them in a per-axis table, those with a + b odd.
+    """
     m, n = A.shape[1], B.shape[1]
     out = np.zeros((len(A), m + n - 1, m + n - 1))
-    for a, b in np.ndindex(m, m):
+    for a, b in zip(*np.nonzero(np.any(A, axis=0))):
         out[:, a:a + n, b:b + n] += A[:, a, b, None, None] * B
     return out
 
@@ -107,8 +124,8 @@ def _degree_tables(i1s, i2s):
     return D * (2.0 / total_gamma) * phase[:, None, None]
 
 
-def _scale_kernel(nL, d, beta, R, j1, j2):
-    """K over (L1, L2) and the paired scales, shape (nL, nL, len(j1))."""
+def _scale_kernel(nL, d, beta, R, gap):
+    """K over (L1, L2) and the scale gaps j2 - j1, shape (nL * nL, len(gap))."""
     L = np.arange(nL, dtype=np.float64)
     S = np.add.outer(np.arange(nL), np.arange(nL))  # L1 + L2
     g = (d + beta + S)[..., None] / 2.0
@@ -117,15 +134,23 @@ def _scale_kernel(nL, d, beta, R, j1, j2):
     if not np.all(np.isfinite(gam)):
         raise Overflow("beta too large: Gamma((d+beta+L1+L2)/2) overflows")
     dL = np.subtract.outer(L, L)[..., None]  # L1 - L2
-    x = (j2 - j1) * np.log(R)
-    return gam * np.exp(-dL * x / 2.0 - g * (np.logaddexp(x, -x) - np.log(2.0)))
+    x = gap * np.log(R)
+    K = gam * np.exp(-dL * x / 2.0 - g * (np.logaddexp(x, -x) - np.log(2.0)))
+    return K.reshape(nL * nL, -1)
 
 
 def _entries(i1s, i2s, beta, R, j1, j2):
     """Entries for taper pairs (i1s[p], i2s[p]) over paired scale arrays.
 
     Returns a (pairs, scales) array; every covariance value is computed here,
-    so this is also where taper orders above _MAX_ORDER are refused.
+    so this is also where taper orders above _MAX_ORDER are refused. The
+    scales enter through j2 - j1 alone.
+
+    Each pair sums D(L1, L2) K_{L1,L2} over its own nonzero (L1, L2), in
+    ascending order, with elementwise operations only, so the bytes do not
+    follow the BLAS thread count. Pairs are taken by falling count of
+    nonzeros, so step k updates a prefix of the rows: the pairs with more
+    than k terms.
     """
     i1s = np.asarray(i1s, dtype=np.int64)
     i2s = np.asarray(i2s, dtype=np.int64)
@@ -133,11 +158,23 @@ def _entries(i1s, i2s, beta, R, j1, j2):
         raise Overflow(f"taper orders above {_MAX_ORDER} (i_max above "
                        f"{_MAX_ORDER + 1}) are not supported: the closed-form "
                        "covariance loses precision there")
-    j1 = np.asarray(j1, dtype=np.float64)
-    j2 = np.asarray(j2, dtype=np.float64)
+    gap = np.asarray(j2, dtype=np.float64) - np.asarray(j1, dtype=np.float64)
     D = _degree_tables(i1s, i2s)
-    K = _scale_kernel(D.shape[1], i1s.shape[1], beta, R, j1, j2)
-    return 0.5 * (D.reshape(len(D), -1) @ K.reshape(-1, len(j1)))
+    K = _scale_kernel(D.shape[1], i1s.shape[1], beta, R, gap)
+    D = D.reshape(len(D), -1)
+    terms = np.count_nonzero(D, axis=1)
+    order = np.argsort(-terms, kind="stable")
+    D, terms = D[order], terms[order]
+    # each pair's nonzero columns first, ascending
+    cols = np.argsort(D == 0.0, axis=1, kind="stable")
+    total = np.zeros((len(D), len(gap)))
+    for k in range(terms.max(initial=0)):
+        live = np.count_nonzero(terms > k)
+        c = cols[:live, k]
+        total[:live] += D[np.arange(live), c, None] * K[c]
+    out = np.empty_like(total)
+    out[order] = 0.5 * total
+    return out
 
 
 def sigma_entry_d2(i1, i2, j1, j2, beta, R):
@@ -271,15 +308,20 @@ def _swap_invariant(cov):
 def _assemble(indices, J, beta, R):
     """The (rows, B) blocks of the parity classes, as CovBlockMatrix stores them.
 
-    Entries between classes vanish by parity; they are never computed. In
-    d = 2 the covariance is isotropic, so swapping the axes of both tapers,
-    (a, b) -> (b, a), leaves an entry unchanged. One parity-matched taper
-    pair a <= b per swap orbit is filled across all scale pairs at once
-    and written into its swapped image and into the mirrored pairs (b, a),
-    so every block is exactly symmetric, and the blocks exactly invariant
-    under the axis swap, by construction. A class that is the swap image
-    of an earlier one, (odd, even) of (even, odd), is gathered from that
-    block instead of written a second time.
+    Entries between classes vanish by parity; they are never computed. An
+    entry depends on its scales only through the gap j2 - j1, so one
+    _entries call fills every representative taper pair at each distinct
+    gap of J, and each block is one gather from its class's
+    (taper, gap, taper) table: entry (j1, p; j2, q) is table[p, gap, q].
+
+    In d = 2 the covariance is isotropic, so swapping the axes of both
+    tapers, (a, b) -> (b, a), leaves an entry unchanged: one pair a <= b per
+    swap orbit is computed and written to its swapped image. Its mirror
+    (b, a) takes its values at the reversed gaps, since fl(x - y) =
+    -fl(y - x) makes the sorted gaps antisymmetric. A pair that is its own
+    mirror (b = a) or whose mirror is its swap image (b = swap(a)) takes
+    its values at |gap|. So every block is exactly symmetric, and the
+    blocks exactly invariant under the axis swap, by construction.
     """
     idx = np.asarray(indices)
     nI, nJ = len(idx), len(J)
@@ -292,47 +334,45 @@ def _assemble(indices, J, beta, R):
     lo, hi = np.minimum(sw[A], sw[B]), np.maximum(sw[A], sw[B])
     rep = (A < lo) | ((A == lo) & (B <= hi))
     A, B = A[rep], B[rep]
-    j1, j2 = np.meshgrid(J, J, indexing="ij")
-    vals = _entries(idx[A], idx[B], beta, R, j1.ravel(), j2.ravel())
-    vals = vals.reshape(-1, nJ, nJ)
-    # a pair whose mirror is itself (a = b) or its swap image (b = swap(a))
-    # gets its own values transposed: mirror the upper scale triangle so
-    # the block is symmetric to the last bit, not just to round-off
+    gaps, gap_of = np.unique(J - J[:, None], return_inverse=True)
+    vals = _entries(idx[A], idx[B], beta, R, 0.0, gaps)
+    # gaps[::-1] = -gaps: |gaps[g]| is gaps[max(g, len(gaps) - 1 - g)]
+    g = np.arange(len(gaps))
     same = (A == B) | (B == sw[A])
-    vals[same] = np.triu(vals[same]) + np.triu(vals[same], 1).transpose(0, 2, 1)
+    vals[same] = vals[same][:, np.maximum(g, g[::-1])]
     # each taper's position within its class
     pos = np.array([np.count_nonzero(label[:k] == c) for k, c in enumerate(label)])
+    gap_of = gap_of.reshape(nJ, nJ)
     blocks = []
     for k, rows in enumerate(_class_rows(idx, nJ)):
-        # a class whose swap image came earlier is that block, gathered on
-        # the image rows: the same values, without a second scatter
-        tapers = np.flatnonzero(label == k)
-        image = label[sw[tapers[0]]]
-        if image < k:
-            q = (np.arange(nJ)[:, None] * len(tapers) + pos[sw[tapers]]).ravel()
-            blocks.append((rows, blocks[image][1][np.ix_(q, q)]))
-            continue
-        block = np.zeros((nJ, len(tapers)) * 2)
+        n = np.count_nonzero(label == k)
+        table = np.zeros((n, len(gaps), n))
         # a pair and its swap image can lie in different classes
         for a, b in ((A, B), (sw[A], sw[B])):
             mine = label[a] == k
             pa, pb, v = pos[a[mine]], pos[b[mine]], vals[mine]
-            block[:, pa, :, pb] = v
-            # swapped tapers = swapped scales, from the same values
-            block[:, pb, :, pa] = v.transpose(0, 2, 1)
+            table[pa, :, pb] = v
+            table[pb, :, pa] = v[:, ::-1]
+        block = table[np.arange(n)[:, None], gap_of[:, None, :]]
         blocks.append((rows, block.reshape(len(rows), -1)))
     return tuple(blocks)
 
 
+def _checked_scales(J):
+    """J as a float array, refused unless every scale is finite and positive."""
+    J = np.asarray(J, dtype=np.float64)
+    if not np.all((0 < J) & (J < math.inf)):
+        raise DomainError("scales must be finite and positive")
+    return J
+
+
 def sigma_transient(set_, J, beta, R):
     """Covariance of the transform vector at finite R, beta = max(alpha,0)."""
-    J = np.asarray(J, dtype=np.float64)
-    if np.any(J <= 0):
-        raise DomainError("scales must be positive")
-    if not R > 1:
-        raise DomainError("need R > 1")
-    if beta < 0:
-        raise DomainError("beta must be nonnegative")
+    J = _checked_scales(J)
+    if not 1 < R < math.inf:
+        raise DomainError(f"R must be finite and above 1, got {R!r}")
+    if not 0 <= beta < math.inf:
+        raise DomainError(f"beta must be finite and nonnegative, got {beta!r}")
     return _swap_invariant(CovBlockMatrix(
         indices=set_.indices, scales=J, blocks=_assemble(set_.indices, J, beta, R)))
 
@@ -343,9 +383,9 @@ def sigma_asymptotic(set_, J, alpha):
     A single block is the degenerate R = 1 evaluation (every power of R
     collapses), replicated across scales; cross-scale blocks vanish.
     """
-    J = np.asarray(J, dtype=np.float64)
-    if alpha < 0:
-        raise DomainError("alpha must be nonnegative")
+    J = _checked_scales(J)
+    if not 0 <= alpha < math.inf:
+        raise DomainError(f"alpha must be finite and nonnegative, got {alpha!r}")
     one = _assemble(set_.indices, np.ones(1), alpha, 1.0)
     ar = np.arange(len(J))
     blocks = []

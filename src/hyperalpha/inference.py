@@ -129,26 +129,37 @@ def check_ci_request(level, draws):
 
 
 def _trace_cube(a, X):
-    """tr((A X)^3) with A = diag(a), summed over row tiles of (A X)^2."""
+    """tr((A X)^3) with A = diag(a) and X symmetric, from the row tiles of
+    Z = (A X)^2 on and above the diagonal.
+
+    tr((AX)^3) sums Z * (AX)^T, whose (i, j) term a_i a_j (XAX)_ij X_ij is
+    symmetric in i and j. Row tile t multiplies (AX)[t] by the columns from
+    t on only, and its terms right of the diagonal tile count twice: about
+    half the product, with no larger temporary. A piece within one tile
+    takes the one whole product.
+    """
     AX = a[:, None] * X
     total = 0.0
     for t in range(0, len(AX), _CUBE_TILE):
-        tile = slice(t, t + _CUBE_TILE)
-        total += np.einsum("ij,ji->", AX[tile] @ AX, AX[:, tile])
+        tile, end = slice(t, t + _CUBE_TILE), t + _CUBE_TILE
+        Z = AX[tile] @ AX[:, t:]
+        total += np.einsum("ij,ji->", Z[:, :_CUBE_TILE], AX[t:end, tile])
+        total += 2.0 * np.einsum("ij,ji->", Z[:, _CUBE_TILE:], AX[end:, tile])
     return total
 
 
 def _cube_pieces(cov):
     """(rows, X, count) whose count * tr((A X)^3) add up to the blocks' tr((A B)^3).
 
-    A is constant on each scale's rows, so it commutes with the axis swap,
-    which maps each scale's rows onto themselves. Without cov.swap every
-    block is one piece. With it, a block that the swap maps onto another
-    is that block's image and counts twice. A block mapped onto itself is
-    split along the swap's row involution P, with fixed rows f and pairs
-    l < h = P(l): it is similar to the direct sum of [[B_ff, 2 B_fl],
-    [B_lf, B_ll + B_lh]] (its even part, scaled by a factor 2 rather than
-    sqrt 2 so nothing is rounded) and B_ll - B_lh (its odd part).
+    Every X is symmetric, as _trace_cube needs. A is constant on each
+    scale's rows, so it commutes with the axis swap, which maps each scale's
+    rows onto themselves. Without cov.swap every block is one piece. With
+    it, a block that the swap maps onto another is that block's image and
+    counts twice. A block mapped onto itself is split along the swap's row
+    involution P, with fixed rows f and pairs l < h = P(l): it is similar to
+    the direct sum of [[B_ff, sqrt2 B_fl], [sqrt2 B_lf, B_ll + B_lh]] (its
+    even part, symmetric) and B_ll - B_lh (its odd part, symmetric because
+    B is exactly symmetric and swap-invariant).
     """
     if cov.swap is None:
         for rows, B in cov.blocks:
@@ -168,7 +179,8 @@ def _cube_pieces(cov):
         f, low = own[P == own], own[P > own]
         even = np.concatenate([f, low])
         X = B[np.ix_(even, even)]
-        X[:len(f), len(f):] *= 2.0
+        X[:len(f), len(f):] *= math.sqrt(2.0)
+        X[len(f):, :len(f)] *= math.sqrt(2.0)
         B_lh = B[np.ix_(low, P[low])]
         X[len(f):, len(f):] += B_lh
         yield rows[even], X, 1
@@ -184,10 +196,11 @@ def cumulant_quantiles(cov, plan, level):
     the mean m = sum w_j (log mu_j - V_jj / 2) and variance s^2 = w'Vw; the
     linear part N'AN, A = diag(w_j / mu_j) on scale j's rows, has third
     cumulant 8 tr((AC)^3) over blocks. Cornish-Fisher: m + s (z + skew (z^2 - 1) / 6).
-    The cube is summed over row tiles of (AB)^2, so no second full block is
-    held; a covariance that carries its axis swap (cov.swap, d = 2) takes
-    it once per swap image and splits a self-mapped block into its even
-    and odd parts (_cube_pieces), which moves the skew by round-off only.
+    The cube is summed over the row tiles of (AB)^2 on and above the
+    diagonal, so no second full block is held; a covariance that carries
+    its axis swap (cov.swap, d = 2) takes it once per swap image and splits
+    a self-mapped block into its even and odd parts (_cube_pieces), which
+    moves the skew by round-off only.
     """
     if not 0 < level < 1:
         raise DomainError("confidence level must be in (0, 1)")

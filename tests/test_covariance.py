@@ -358,6 +358,52 @@ class TestTransientMatrix:
         with pytest.raises(Overflow, match="beta too large"):
             sigma_transient(set4, np.array([0.5, 0.8]), 400.0, 25.0)
 
+    @pytest.mark.parametrize("J, beta, R, name", [
+        ([0.5, np.nan], 0.5, 25.0, "scales"),
+        ([0.5, np.inf], 0.5, 25.0, "scales"),
+        ([0.5, 0.8], 0.5, np.inf, "R"),
+        ([0.5, 0.8], np.nan, 25.0, "beta"),
+    ], ids=["nan-scale", "inf-scale", "inf-R", "nan-beta"])
+    def test_non_finite_input_refused(self, J, beta, R, name):
+        # once a NaN scale warned from logaddexp, an infinite one from a
+        # subtraction, R = inf from a product, and beta = NaN was refused
+        # as "beta too large"
+        with pytest.raises(DomainError, match=name):
+            sigma_transient(build_taper_set(2, 4), np.array(J), beta, R)
+
+    def test_uneven_scales_match_scalar_function(self):
+        # every distinct gap of unevenly spaced scales is its own column;
+        # the assembled blocks still match entry by entry (the upper
+        # triangle; the lower one is its exact mirror), and keep their
+        # exact symmetry and axis-swap invariance
+        set4 = build_taper_set(2, 4)
+        J = np.array([0.31, 0.5, 0.52, 0.9, 1.1])
+        m = sigma_transient(set4, J, 0.7, 30.0)
+        M = m.matrix
+        for r in range(m.dim):
+            for c in range(r, m.dim):
+                (i1, j1), (i2, j2) = m.index_map[r], m.index_map[c]
+                assert M[r, c] == pytest.approx(
+                    sigma_entry_d2(i1, i2, j1, j2, 0.7, 30.0),
+                    rel=1e-10, abs=1e-300), (i1, i2, j1, j2)
+        assert np.array_equal(M, M.T)
+        assert np.array_equal(M[np.ix_(m.swap, m.swap)], M)
+
+    def test_one_column_per_scale_gap(self, monkeypatch):
+        # the scales k / 16 have exact gaps, 2 |J| - 1 of them: one
+        # _entries call fills every block
+        shapes = []
+
+        def counted(*args):
+            out = _entries(*args)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(covariance, "_entries", counted)
+        J = np.arange(5, 17) / 16.0
+        sigma_transient(build_taper_set(2, 4), J, 0.7, 25.0)
+        assert shapes == [(17, 2 * len(J) - 1)]
+
 
 class TestAsymptoticMatrix:
     def test_alpha_zero_is_identity(self):
@@ -392,6 +438,15 @@ class TestAsymptoticMatrix:
         want = sigma_transient(set4, J, 0.8, 25.0).structural_zero
         np.testing.assert_array_equal(m.structural_zero, want)
         assert not np.all(m.structural_zero[m.matrix == 0.0])
+
+    @pytest.mark.parametrize("J, alpha, name", [
+        ([0.5, np.nan], 0.8, "scales"),
+        ([0.5, 0.8], np.nan, "alpha"),
+    ], ids=["nan-scale", "nan-alpha"])
+    def test_non_finite_input_refused(self, J, alpha, name):
+        # a NaN scale was once accepted silently
+        with pytest.raises(DomainError, match=name):
+            sigma_asymptotic(build_taper_set(2, 4), np.array(J), alpha)
 
     def test_transient_converges_to_asymptotic(self):
         set4 = build_taper_set(2, 4)

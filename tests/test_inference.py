@@ -535,6 +535,16 @@ class TestCumulantQuantiles:
         assert sizes == [(1250, (1250, 1250), 2), (750, (750, 750), 1),
                          (500, (500, 500), 1)]
 
+    def test_trace_cube_over_upper_tiles(self):
+        # 2.5 row tiles: the diagonal tiles, the tiles right of them counted
+        # twice, and a last partial tile, against the dense cube
+        rng = np.random.default_rng(3)
+        n = 5 * inference._CUBE_TILE // 2
+        G = rng.standard_normal((n, n))
+        X, a = G + G.T, rng.uniform(0.5, 2.0, n)
+        want = np.trace(np.linalg.matrix_power(a[:, None] * X, 3))
+        assert inference._trace_cube(a, X) == pytest.approx(want, rel=1e-12)
+
     def test_constructed_covariance_is_unmarked(self, small_cov):
         # only sigma_transient and sigma_asymptotic mark a covariance: one
         # built from matrix=, or copied by dataclasses.replace, takes the
