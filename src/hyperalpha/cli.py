@@ -130,9 +130,11 @@ REDUCED_CI_NSCALES = 25
 def _preset(d, i_max, taper_scale, n_scales, ci, reduced):
     """The curve's taper set, the estimate's and the scale count, checked and
     built before any pattern work; the reduced preset caps the latter two.
-    Like the sampler's draws and the simulators' points, the largest array is
-    capped at MAX_CI_DRAWS floats: the |J| x |I| transform table, or with an
-    interval the covariance's parity blocks, (n_c |J|)^2 floats per class c."""
+    Like the sampler's draws and the simulators' points, the largest arrays
+    are capped at MAX_CI_DRAWS floats: the |J| x |I| transform table, or with
+    an interval (n_c |J|)^2 floats summed over the parity classes c, which
+    bounds the blocks the sampled path gathers and so the largest piece of
+    the cumulant path's third cumulant."""
     check_n_scales(n_scales)
     full_set = build_taper_set(d, i_max, c=taper_scale)
     est_set = full_set

@@ -12,9 +12,13 @@ gap and is shared by every taper pair.
 
 K reads the scales only through the gap j2 - j1, so each taper pair's
 entries are a function of the gap (a Toeplitz matrix in scale, for evenly
-spaced scales). They are computed once per distinct gap of the scales and
-gathered into the blocks: 50 evenly spaced scales make 2500 scale pairs
-but 209 gaps (their 99 exact gaps round to 209 distinct floats).
+spaced scales). They are computed once per distinct gap of the scales: 50
+evenly spaced scales make 2500 scale pairs but 209 gaps (their 99 exact
+gaps round to 209 distinct floats). The per-class (taper, gap, taper)
+tables they fill, with a map from scale pair to gap, are the covariance's
+stored form (CovBlockMatrix.tables, 3 MB at i_max 10 over 50 scales); a
+parity block (12.5 MB each there) is gathered from them only where it is
+read, and the pivot's cumulants read the tables directly.
 
 The product D @ K is a fixed-order sum: each taper pair adds its nonzero
 D(L1, L2) K terms (about 7% of D's entries are nonzero) in ascending
@@ -45,7 +49,7 @@ scipy out of every import of the package.
 In d = 2 the covariance is isotropic: swapping the axes of both tapers,
 (a, b) -> (b, a), leaves an entry unchanged, although its degree
 tables are convolved in the other order. Each swap orbit of taper pairs
-is computed once and written to every member, so the matrix is exactly
+is computed once and written to every member, so the tables are exactly
 invariant under the axis swap; sigma_transient and sigma_asymptotic
 record that as CovBlockMatrix.swap, which the third cumulant of the
 pivot reads.
@@ -58,6 +62,7 @@ confidence interval.
 
 import math
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -196,37 +201,42 @@ def sigma_entry_d2(i1, i2, j1, j2, beta, R):
     i2 = tuple(int(v) for v in i2)
     if len(i1) != 2 or len(i2) != 2:
         raise DomainError("sigma_entry_d2 needs two-component indices")
-    if not R >= 1:
-        raise DomainError("need R >= 1")
-    if beta < 0:
-        raise DomainError("beta must be nonnegative")
-    if not (j1 > 0 and j2 > 0):
-        raise DomainError("scales must be positive")
+    _checked_scales([j1, j2])
+    if not 1 <= R < math.inf:
+        raise DomainError(f"R must be finite and at least 1, got {R!r}")
+    _checked_exponent("beta", beta)
     return float(_entries([i1], [i2], beta, R, [j1], [j2])[0, 0])
 
 
 @dataclass(frozen=True)
 class CovBlockMatrix:
-    """Symmetric covariance stored as its taper parity blocks.
+    """Symmetric covariance stored as per-class (taper, slot, taper) tables.
 
     Row convention: row = scale_index * |I| + taper_index, matching how
     transform vectors are flattened for sampling. Entries between parity
-    classes vanish; blocks holds one (rows, M[rows][:, rows]) pair per
-    class, rows ascending, classes in the order of their first taper. A
-    dense matrix= is split into them, and reading matrix assembles it.
-    index_map and structural_zero are derived when read.
+    classes vanish; tables holds one (table, slot) pair per class, classes
+    in the order of their first taper. slot is a (|J|, |J|) map of integers
+    and the class's entry at (scale j, taper p; scale k, taper q), p and q
+    numbered within the class, is table[p, slot[j, k], q]. sigma_transient
+    has one slot per distinct scale gap, sigma_asymptotic one for its
+    block and one of zeros, and a dense matrix= one per scale pair.
+
+    blocks, one (rows, M[rows][:, rows]) pair per class with rows
+    ascending, is gathered from the tables on its first read and kept;
+    matrix is assembled from the blocks on each read. index_map and
+    structural_zero are derived when read.
 
     swap, when not None, is the row permutation of the axis swap
-    (a, b) -> (b, a), under which the blocks are exactly invariant: row
+    (a, b) -> (b, a), under which the tables are exactly invariant: row
     (taper (a, b), scale j) goes to row ((b, a), j). sigma_transient and
-    sigma_asymptotic set it, since they write the blocks so; it is not a
+    sigma_asymptotic set it, since they write the tables so; it is not a
     constructor argument, so a covariance built from matrix= or by
     dataclasses.replace never carries it.
     """
 
     indices: tuple
     scales: np.ndarray
-    blocks: tuple = ()
+    tables: tuple = ()
     matrix: InitVar[np.ndarray] = None
     swap: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
@@ -238,9 +248,14 @@ class CovBlockMatrix:
             raise DomainError(
                 f"matrix= must be {self.dim} x {self.dim} and zero between taper "
                 f"parity classes, got shape {matrix.shape}")
-        object.__setattr__(self, "blocks", tuple(
-            (rows, matrix[np.ix_(rows, rows)])
-            for rows in _class_rows(self.indices, len(self.scales))))
+        nJ = len(self.scales)
+        slot = np.arange(nJ * nJ).reshape(nJ, nJ)
+        tables = []
+        for rows in _class_rows(self.indices, nJ):
+            n = len(rows) // nJ
+            B = matrix[np.ix_(rows, rows)].reshape(nJ, n, nJ, n)
+            tables.append((B.transpose(1, 0, 2, 3).reshape(n, nJ * nJ, n), slot))
+        object.__setattr__(self, "tables", tuple(tables))
 
     @property
     def dim(self):
@@ -256,6 +271,24 @@ class CovBlockMatrix:
         """n x n mask of the entries between parity classes, which vanish."""
         label = _parity_labels(self.indices)
         return np.tile(label[:, None] != label, (len(self.scales),) * 2)
+
+    @property
+    def class_rows(self):
+        """Ascending rows of each parity class, in the order of tables."""
+        return _class_rows(self.indices, len(self.scales))
+
+    @cached_property
+    def blocks(self):
+        """(rows, B) of each parity class, gathered once from the tables."""
+        return tuple((rows, gather_block(table, slot))
+                     for rows, (table, slot) in zip(self.class_rows, self.tables))
+
+
+def gather_block(table, slot):
+    """The block of a (n, slots, m) table: entry table[p, slot[j, k], q] at
+    row j * n + p and column k * m + q."""
+    n = len(table)
+    return table[np.arange(n)[:, None], slot[:, None, :]].reshape(len(slot) * n, -1)
 
 
 def _dense(cov):
@@ -306,13 +339,13 @@ def _swap_invariant(cov):
 
 
 def _assemble(indices, J, beta, R):
-    """The (rows, B) blocks of the parity classes, as CovBlockMatrix stores them.
+    """The (table, slot) pair of each parity class, as CovBlockMatrix stores them.
 
     Entries between classes vanish by parity; they are never computed. An
     entry depends on its scales only through the gap j2 - j1, so one
     _entries call fills every representative taper pair at each distinct
-    gap of J, and each block is one gather from its class's
-    (taper, gap, taper) table: entry (j1, p; j2, q) is table[p, gap, q].
+    gap of J into its class's (taper, gap, taper) table, and slot maps each
+    scale pair to its gap: entry (j1, p; j2, q) is table[p, slot[j1, j2], q].
 
     In d = 2 the covariance is isotropic, so swapping the axes of both
     tapers, (a, b) -> (b, a), leaves an entry unchanged: one pair a <= b per
@@ -321,7 +354,7 @@ def _assemble(indices, J, beta, R):
     -fl(y - x) makes the sorted gaps antisymmetric. A pair that is its own
     mirror (b = a) or whose mirror is its swap image (b = swap(a)) takes
     its values at |gap|. So every block is exactly symmetric, and the
-    blocks exactly invariant under the axis swap, by construction.
+    tables exactly invariant under the axis swap, by construction.
     """
     idx = np.asarray(indices)
     nI, nJ = len(idx), len(J)
@@ -343,8 +376,8 @@ def _assemble(indices, J, beta, R):
     # each taper's position within its class
     pos = np.array([np.count_nonzero(label[:k] == c) for k, c in enumerate(label)])
     gap_of = gap_of.reshape(nJ, nJ)
-    blocks = []
-    for k, rows in enumerate(_class_rows(idx, nJ)):
+    tables = []
+    for k in range(label.max() + 1):
         n = np.count_nonzero(label == k)
         table = np.zeros((n, len(gaps), n))
         # a pair and its swap image can lie in different classes
@@ -353,9 +386,8 @@ def _assemble(indices, J, beta, R):
             pa, pb, v = pos[a[mine]], pos[b[mine]], vals[mine]
             table[pa, :, pb] = v
             table[pb, :, pa] = v[:, ::-1]
-        block = table[np.arange(n)[:, None], gap_of[:, None, :]]
-        blocks.append((rows, block.reshape(len(rows), -1)))
-    return tuple(blocks)
+        tables.append((table, gap_of))
+    return tuple(tables)
 
 
 def _checked_scales(J):
@@ -366,32 +398,33 @@ def _checked_scales(J):
     return J
 
 
+def _checked_exponent(name, value):
+    """Refuse a beta or alpha that is negative, infinite or NaN."""
+    if not 0 <= value < math.inf:
+        raise DomainError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 def sigma_transient(set_, J, beta, R):
     """Covariance of the transform vector at finite R, beta = max(alpha,0)."""
     J = _checked_scales(J)
     if not 1 < R < math.inf:
         raise DomainError(f"R must be finite and above 1, got {R!r}")
-    if not 0 <= beta < math.inf:
-        raise DomainError(f"beta must be finite and nonnegative, got {beta!r}")
+    _checked_exponent("beta", beta)
     return _swap_invariant(CovBlockMatrix(
-        indices=set_.indices, scales=J, blocks=_assemble(set_.indices, J, beta, R)))
+        indices=set_.indices, scales=J, tables=_assemble(set_.indices, J, beta, R)))
 
 
 def sigma_asymptotic(set_, J, alpha):
     """R -> infinity limit: block diagonal, one identical block per scale.
 
     A single block is the degenerate R = 1 evaluation (every power of R
-    collapses), replicated across scales; cross-scale blocks vanish.
+    collapses), replicated across scales; cross-scale blocks vanish. Each
+    class keeps that block's table as slot 0 and a table of zeros as slot 1.
     """
     J = _checked_scales(J)
-    if not 0 <= alpha < math.inf:
-        raise DomainError(f"alpha must be finite and nonnegative, got {alpha!r}")
-    one = _assemble(set_.indices, np.ones(1), alpha, 1.0)
-    ar = np.arange(len(J))
-    blocks = []
-    for (_, B), rows in zip(one, _class_rows(set_.indices, len(J))):
-        block = np.zeros((len(J), len(B)) * 2)
-        block[ar, :, ar, :] = B
-        blocks.append((rows, block.reshape(len(rows), -1)))
+    _checked_exponent("alpha", alpha)
+    slot = 1 - np.eye(len(J), dtype=np.int64)
+    tables = tuple((np.concatenate([table, np.zeros_like(table)], axis=1), slot)
+                   for table, _ in _assemble(set_.indices, np.ones(1), alpha, 1.0))
     return _swap_invariant(CovBlockMatrix(indices=set_.indices, scales=J,
-                                          blocks=tuple(blocks)))
+                                          tables=tables))

@@ -16,7 +16,7 @@ import numpy as np
 import numpy.ma  # noqa: F401
 from numpy.random import Generator, Philox, SeedSequence
 
-from .covariance import sigma_transient
+from .covariance import gather_block, sigma_transient
 from .errors import DomainError, ZeroTransformSum
 from .numerics import psd_factor
 
@@ -63,9 +63,9 @@ def sample_Z(cov, plan, count, seed):
     holds more than 2^21 normals (512 rows at dimension 3750); the
     generator fills row by row, so chunking does not change them.
 
-    The covariance is stored as its taper parity blocks (cov.blocks),
-    and each draw is mapped one block at a time through psd_factor's
-    root of the block:
+    The covariance's taper parity blocks (cov.blocks, gathered once from
+    its tables) are factored, and each draw is mapped one block at a time
+    through psd_factor's root of the block:
     N_b = F_b (V_b^T z_b), the eigen-truncated symmetric square root
     applied to the block's normals z_b, their squares added to the
     per-scale chi-square sums. Any square root of the covariance gives
@@ -130,7 +130,8 @@ def check_ci_request(level, draws):
 
 def _trace_cube(a, X):
     """tr((A X)^3) with A = diag(a) and X symmetric, from the row tiles of
-    Z = (A X)^2 on and above the diagonal.
+    Z = (A X)^2 on and above the diagonal. X is consumed: it is scaled to
+    A X in place.
 
     tr((AX)^3) sums Z * (AX)^T, whose (i, j) term a_i a_j (XAX)_ij X_ij is
     symmetric in i and j. Row tile t multiplies (AX)[t] by the columns from
@@ -138,7 +139,8 @@ def _trace_cube(a, X):
     half the product, with no larger temporary. A piece within one tile
     takes the one whole product.
     """
-    AX = a[:, None] * X
+    X *= a[:, None]
+    AX = X
     total = 0.0
     for t in range(0, len(AX), _CUBE_TILE):
         tile, end = slice(t, t + _CUBE_TILE), t + _CUBE_TILE
@@ -151,56 +153,67 @@ def _trace_cube(a, X):
 def _cube_pieces(cov):
     """(rows, X, count) whose count * tr((A X)^3) add up to the blocks' tr((A B)^3).
 
-    Every X is symmetric, as _trace_cube needs. A is constant on each
-    scale's rows, so it commutes with the axis swap, which maps each scale's
-    rows onto themselves. Without cov.swap every block is one piece. With
-    it, a block that the swap maps onto another is that block's image and
-    counts twice. A block mapped onto itself is split along the swap's row
-    involution P, with fixed rows f and pairs l < h = P(l): it is similar to
-    the direct sum of [[B_ff, sqrt2 B_fl], [sqrt2 B_lf, B_ll + B_lh]] (its
-    even part, symmetric) and B_ll - B_lh (its odd part, symmetric because
-    B is exactly symmetric and swap-invariant).
+    Each X is gathered from its class's table when it is asked for, and
+    the caller holds no other piece by then. Every X is symmetric, as
+    _trace_cube needs. A is constant on each scale's rows, so it commutes
+    with the axis swap, which maps each scale's rows onto themselves.
+    Without cov.swap every block is one piece. With it, a block that the
+    swap maps onto another is that block's image and counts twice; the
+    image is never gathered. A block mapped onto itself is split along the
+    swap's row involution P, with fixed rows f and pairs l < h = P(l): it
+    is similar to the direct sum of [[B_ff, sqrt2 B_fl], [sqrt2 B_lf,
+    B_ll + B_lh]] (its even part, symmetric) and B_ll - B_lh (its odd part,
+    symmetric because B is exactly symmetric and swap-invariant). Each part
+    is gathered from the table with those sums and products taken entry by
+    entry, so it holds the same floats as when cut from the block.
     """
+    classes = list(zip(cov.class_rows, cov.tables))
     if cov.swap is None:
-        for rows, B in cov.blocks:
-            yield rows, B, 1
+        for rows, (table, slot) in classes:
+            yield rows, gather_block(table, slot), 1
         return
-    block_of = np.empty(cov.dim, dtype=np.int64)
-    for k, (rows, _) in enumerate(cov.blocks):
-        block_of[rows] = k
-    for k, (rows, B) in enumerate(cov.blocks):
-        image = cov.swap[rows]
-        partner = block_of[image[0]]
+    class_of = np.empty(cov.dim, dtype=np.int64)
+    for k, (rows, _) in enumerate(classes):
+        class_of[rows] = k
+    for k, (rows, (T, slot)) in enumerate(classes):
+        # the swap maps each scale's rows onto themselves: P is read at scale 0
+        n = len(T)
+        image = cov.swap[rows[:n]]
+        partner = class_of[image[0]]
         if partner != k:
             if partner > k:
-                yield rows, B, 2
+                yield rows, gather_block(T, slot), 2
             continue
-        P, own = np.searchsorted(rows, image), np.arange(len(rows))
+        P, own = np.searchsorted(rows, image), np.arange(n)
         f, low = own[P == own], own[P > own]
-        even = np.concatenate([f, low])
-        X = B[np.ix_(even, even)]
-        X[:len(f), len(f):] *= math.sqrt(2.0)
-        X[len(f):, :len(f)] *= math.sqrt(2.0)
-        B_lh = B[np.ix_(low, P[low])]
-        X[len(f):, len(f):] += B_lh
-        yield rows[even], X, 1
-        yield rows[low], B[np.ix_(low, low)] - B_lh, 1
+        T_lh = T[low][:, :, P[low]]
+        by_scale = rows.reshape(len(slot), n)
+        even = np.concatenate([by_scale[:, f].ravel(), by_scale[:, low].ravel()])
+        r2 = math.sqrt(2.0)
+        yield even, np.block([[gather_block(T[f][:, :, f], slot),
+                               gather_block(T[f][:, :, low] * r2, slot)],
+                              [gather_block(T[low][:, :, f] * r2, slot),
+                               gather_block(T[low][:, :, low] + T_lh, slot)]]), 1
+        yield by_scale[:, low].ravel(), gather_block(T[low][:, :, low] - T_lh, slot), 1
 
 
 def cumulant_quantiles(cov, plan, level):
-    """Pivot quantiles (lower, upper), min nu_j and skew from cov.blocks alone.
+    """Pivot quantiles (lower, upper), min nu_j and skew from cov.tables.
 
     Scale j's chi-square sum has mean mu_j = tr C_jj; the sums over their
     means have covariance V_jk = 2 ||C_jk||_F^2 / (mu_j mu_k), exact for
-    Gaussian quadratic forms, and nu_j = 2 / V_jj. The delta method gives
-    the mean m = sum w_j (log mu_j - V_jj / 2) and variance s^2 = w'Vw; the
-    linear part N'AN, A = diag(w_j / mu_j) on scale j's rows, has third
-    cumulant 8 tr((AC)^3) over blocks. Cornish-Fisher: m + s (z + skew (z^2 - 1) / 6).
+    Gaussian quadratic forms, and nu_j = 2 / V_jj. A class's block C_jk is
+    its table at slot[j, k], so the traces and Frobenius norms are taken
+    once per slot. The delta method gives the mean m = sum w_j (log mu_j -
+    V_jj / 2) and variance s^2 = w'Vw; the linear part N'AN, A = diag(w_j /
+    mu_j) on scale j's rows, has third cumulant 8 tr((AC)^3) over blocks.
+    Cornish-Fisher: m + s (z + skew (z^2 - 1) / 6).
     The cube is summed over the row tiles of (AB)^2 on and above the
-    diagonal, so no second full block is held; a covariance that carries
-    its axis swap (cov.swap, d = 2) takes it once per swap image and splits
-    a self-mapped block into its even and odd parts (_cube_pieces), which
-    moves the skew by round-off only.
+    diagonal, one piece at a time (_cube_pieces), so no second full block
+    is held and cov.blocks is never built; a covariance that carries its
+    axis swap (cov.swap, d = 2) takes it once per swap image and splits a
+    self-mapped block into its even and odd parts, which moves the skew by
+    round-off only.
     """
     if not 0 < level < 1:
         raise DomainError("confidence level must be in (0, 1)")
@@ -208,19 +221,19 @@ def cumulant_quantiles(cov, plan, level):
         raise DomainError("the plan's scales are not the covariance's")
     nJ, w = len(plan), plan.weights
     mu, frob = np.zeros(nJ), np.zeros((nJ, nJ))
-    for rows, B in cov.blocks:
-        # ascending scale-major rows: the same tapers at every scale
-        Bs = B.reshape(nJ, len(rows) // nJ, nJ, -1)
-        mu += np.einsum("jiji->j", Bs)
-        frob += np.einsum("jakb,jakb->jk", Bs, Bs)
+    for table, slot in cov.tables:
+        mu += np.einsum("isi->s", table)[np.diagonal(slot)]
+        frob += np.einsum("asb,asb->s", table, table)[slot]
     if np.any(mu <= 0.0):
         raise ZeroTransformSum("a scale has a zero-trace covariance block")
     V = 2.0 * frob / np.outer(mu, mu)
     m, s = w @ (np.log(mu) - np.diag(V) / 2.0), np.sqrt(w @ V @ w)
     a, nI = w / mu, len(cov.indices)
-    kappa3 = 8.0 * sum(count * _trace_cube(a[rows // nI], X)
-                       for rows, X, count in _cube_pieces(cov))
-    skew = kappa3 / s**3
+    cube = 0.0  # kappa3 / 8
+    for rows, X, count in _cube_pieces(cov):
+        cube += count * _trace_cube(a[rows // nI], X)
+        del X  # before the next piece is gathered
+    skew = 8.0 * cube / s**3
     z = 0.0  # the normal quantile at (1 + level) / 2, by Newton on the convex tail
     for _ in range(50):
         z += ((math.erfc(z / math.sqrt(2.0)) - (1.0 - level))

@@ -201,7 +201,8 @@ def psd_factor(blocks):
     blocks are (rows, B) pairs: B is M[rows][:, rows], and M is zero
     outside the blocks. Their rows must partition 0..n-1 and each B must
     be square and exactly symmetric; a transform covariance gives its
-    taper parity classes (CovBlockMatrix.blocks). Each block gets one
+    taper parity classes (CovBlockMatrix.blocks, gathered from its tables
+    on that first read and kept). Each block gets one
     symmetric eigendecomposition. Eigenvalues below -1e-8 times the
     largest eigenvalue of M raise NotPsd; the eigenpairs above +1e-8 times
     it are kept and the rest are treated as zero, so each block's root

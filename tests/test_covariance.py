@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +113,23 @@ class TestEntryExactCases:
             sigma_entry_d2((0, 1), (0, 1), 0.5, 0.5, 0.0, 0.5)
         with pytest.raises(DomainError):
             sigma_entry_d2((0, 1), (0, 1), -0.5, 0.5, 0.0, 10.0)
+
+    @pytest.mark.parametrize("j1, R, beta, name", [
+        (np.inf, 10.0, 0.5, "scales"),
+        (0.5, np.inf, 0.5, "R"),
+        (0.5, 10.0, np.nan, "beta"),
+    ], ids=["inf-scale", "inf-R", "nan-beta"])
+    def test_non_finite_input_refused(self, j1, R, beta, name):
+        # an infinite scale or R once warned from a product, and beta = NaN
+        # was refused as "beta too large"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=name):
+                sigma_entry_d2((0, 1), (0, 1), j1, 0.6, beta, R)
+
+    def test_r_one_allowed(self):
+        # the asymptotic covariance is the R = 1 evaluation
+        assert sigma_entry_d2((0, 1), (0, 1), 0.5, 0.6, 0.5, 1.0) > 0.0
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -314,6 +333,50 @@ class TestTransientMatrix:
         bad[r, c] = bad[c, r] = 1e-300
         with pytest.raises(DomainError, match="parity classes"):
             CovBlockMatrix(m.indices, m.scales, matrix=bad)
+
+    def test_blocks_gathered_from_the_tables(self, cov):
+        # each class keeps a (taper, slot, taper) table and a |J| x |J| slot
+        # map: block entry (j, p; k, q) is table[p, slot[j, k], q]. The
+        # blocks are gathered once, on their first read
+        set4, J, _ = cov
+        m = sigma_transient(set4, J, 0.7, 25.0)
+        assert "blocks" not in vars(m)
+        nJ = len(J)
+        for rows, (table, slot), (got_rows, B) in zip(
+                m.class_rows, m.tables, m.blocks, strict=True):
+            n = len(table)
+            assert np.array_equal(rows, got_rows) and slot.shape == (nJ, nJ)
+            want = np.array([[table[p, slot[j, k], q] for k in range(nJ)
+                              for q in range(n)] for j in range(nJ)
+                             for p in range(n)])
+            assert B.tobytes() == want.tobytes()
+        assert m.blocks is m.blocks
+
+    def test_slots(self, cov):
+        # one slot per distinct scale gap; one per scale pair from a dense
+        # matrix; the asymptotic block and a slot of zeros
+        set4, J, m = cov
+        nJ = len(J)
+        for table, slot in m.tables:
+            assert table.shape[1] == len(np.unique(J - J[:, None]))
+        for table, slot in dataclasses.replace(m, matrix=m.matrix).tables:
+            assert table.shape[1] == nJ * nJ
+            assert np.array_equal(slot, np.arange(nJ * nJ).reshape(nJ, nJ))
+        for table, slot in sigma_asymptotic(set4, J, 0.7).tables:
+            assert table.shape[1] == 2 and not np.any(table[:, 1])
+            assert np.array_equal(slot, 1 - np.eye(nJ))
+
+    def test_peak_memory_full_preset(self, set10):
+        # the three tables of 209 gaps hold 3 MB; the blocks they gather
+        # into (37.5 MB) are not built
+        J = np.linspace(0.73, 0.97, 50)
+        tracemalloc.start()
+        try:
+            sigma_transient(set10, J, 1.0, 40.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
 
     def test_structural_zero_is_derived_not_stored(self):
         # the mask is read from the taper parities on demand, so no n x n

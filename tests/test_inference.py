@@ -9,7 +9,8 @@ import pytest
 
 from hyperalpha import inference
 from hyperalpha.cli import run_pipeline
-from hyperalpha.covariance import CovBlockMatrix, sigma_asymptotic, sigma_transient
+from hyperalpha.covariance import (CovBlockMatrix, gather_block, sigma_asymptotic,
+                                   sigma_transient)
 from hyperalpha.errors import DomainError
 from hyperalpha.estimator import (EstimateReport, default_scale_plan,
                                   least_squares_weights)
@@ -588,6 +589,48 @@ class TestCumulantQuantiles:
         finally:
             tracemalloc.stop()
         assert peak <= 20e6
+
+    def test_pivot_quantiles_peak_memory_full_preset(self, set10):
+        # the cumulant branch from start to end: the tables (3 MB), the
+        # largest kappa3 piece (12.5 MB) and one row tile of its square;
+        # the blocks (37.5 MB) are never built
+        plan = default_scale_plan(0.73, 0.97, n_scales=50)
+        tracemalloc.start()
+        try:
+            pivot_quantiles(set10, plan, 1.0, 40.0, 0.95)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25e6
+
+    def test_cumulant_branch_gathers_each_piece_once(self, set10, monkeypatch):
+        # on the full preset's cumulant branch the blocks are never built:
+        # the (even, odd) class is gathered once, its (odd, even) image
+        # never, and the (odd, odd) class's parts from its table
+        covs, gathered = [], []
+
+        def captured(*args):
+            covs.append(sigma_transient(*args))
+            return covs[-1]
+
+        def counted(table, slot):
+            gathered.append(table)
+            return gather_block(table, slot)
+
+        monkeypatch.setattr(inference, "sigma_transient", captured)
+        monkeypatch.setattr(inference, "gather_block", counted)
+        plan = default_scale_plan(0.73, 0.97, n_scales=50)
+        pivot_quantiles(set10, plan, 1.0, 40.0, 0.95)
+        (cov,) = covs
+        assert "blocks" not in vars(cov)
+        parity = {tuple(np.asarray(cov.indices[rows[0]]) % 2): table
+                  for rows, (table, _) in zip(cov.class_rows, cov.tables)}
+        whole = [next(p for p, t in parity.items() if t is table)
+                 for table in gathered if any(table is t for t in parity.values())]
+        assert whole == [(0, 1)]
+        # the (odd, odd) parts: four sub-tables of the even part, one odd
+        assert [(len(t), t.shape[2]) for t in gathered[1:]] == [
+            (5, 5), (5, 10), (10, 5), (10, 10), (10, 10)]
 
     def test_validation(self, small_cov):
         _, plan, cov = small_cov
